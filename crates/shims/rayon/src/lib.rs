@@ -8,32 +8,69 @@
 //! depends only on the item (the workspace derives per-item RNG seeds from
 //! indices for exactly this reason).
 //!
-//! Thread count: `ThreadPoolBuilder::new().num_threads(1).build()?.install(f)`
-//! forces every parallel call made *inside `f` on the same thread* to run
-//! inline, which the determinism regression tests use to compare serial and
-//! parallel runs. The `RAYON_NUM_THREADS` environment variable is honored
-//! like upstream.
+//! Thread count: `ThreadPoolBuilder::new().num_threads(n).build()?.install(f)`
+//! runs every parallel call made inside `f` (including nested calls on the
+//! pool's own workers) under a **pool-local** worker budget of `n`, however
+//! many workers sibling calls elsewhere in the process hold. `n = 1` forces
+//! inline execution, which the determinism regression tests use to compare
+//! serial and parallel runs. The `RAYON_NUM_THREADS` environment variable is
+//! honored like upstream.
 
 #![warn(missing_docs)]
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-thread_local! {
-    static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
+/// A worker budget: a width and the extra workers currently alive under it.
+/// Nested `par_iter` levels consult `active` so total workers stay near the
+/// width instead of multiplying per nesting level.
+#[derive(Debug)]
+struct Budget {
+    /// `None` for the process-wide budget, whose width is read on demand.
+    width: Option<usize>,
+    active: AtomicUsize,
 }
 
-/// Extra worker threads currently alive across every in-flight parallel
-/// call. Nested `par_iter` levels consult this so total workers stay near
-/// the core count instead of multiplying per nesting level.
-static ACTIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
+impl Budget {
+    fn width(&self) -> usize {
+        self.width.unwrap_or_else(default_num_threads)
+    }
+
+    /// What a parallel call happening *now* may use: the width minus
+    /// workers already running (approximate — racy reads only make the
+    /// bound slightly loose, never the results wrong, since collection
+    /// order never depends on the thread count).
+    fn available(&self) -> usize {
+        self.width()
+            .saturating_sub(self.active.load(Ordering::Relaxed))
+            .max(1)
+    }
+}
+
+/// The budget of parallel calls made outside any [`ThreadPool::install`].
+static GLOBAL: Budget = Budget {
+    width: None,
+    active: AtomicUsize::new(0),
+};
+
+thread_local! {
+    /// The pool installed on this thread (directly, or inherited by one of
+    /// the pool's workers); `None` means the process-wide budget.
+    static POOL: RefCell<Option<Arc<Budget>>> = const { RefCell::new(None) };
+}
 
 /// Number of worker threads parallel calls on this thread will use.
 pub fn current_num_threads() -> usize {
-    if let Some(n) = THREAD_OVERRIDE.with(|o| o.get()) {
-        return n.max(1);
-    }
+    POOL.with(|p| p.borrow().as_ref().map(|b| b.width()))
+        .unwrap_or_else(default_num_threads)
+        .max(1)
+}
+
+/// The width of the process-wide budget: `RAYON_NUM_THREADS`, else the
+/// core count.
+fn default_num_threads() -> usize {
     if let Ok(v) = std::env::var("RAYON_NUM_THREADS") {
         if let Ok(n) = v.parse::<usize>() {
             if n > 0 {
@@ -42,16 +79,6 @@ pub fn current_num_threads() -> usize {
         }
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// What a parallel call happening *now* may use: the configured width minus
-/// workers already running (approximate — racy reads only make the bound
-/// slightly loose, never the results wrong, since collection order never
-/// depends on the thread count).
-fn available_budget() -> usize {
-    current_num_threads()
-        .saturating_sub(ACTIVE_WORKERS.load(Ordering::Relaxed))
-        .max(1)
 }
 
 /// Common traits, mirroring `rayon::prelude`.
@@ -92,20 +119,23 @@ pub trait ParallelIterator: Sized + Sync {
     }
 
     /// Evaluates the pipeline in parallel, preserving input order. The
-    /// spawn width is capped by the global worker budget, so nested
-    /// parallel calls degrade toward inline execution instead of
-    /// multiplying threads per nesting level.
+    /// spawn width is capped by the current worker budget (the installed
+    /// pool's, else the process-wide one), so nested parallel calls degrade
+    /// toward inline execution instead of multiplying threads per nesting
+    /// level.
     fn to_vec(self) -> Vec<Self::Item> {
         let n = self.len();
-        let threads = available_budget().min(n.max(1));
+        let pool = POOL.with(|p| p.borrow().clone());
+        let budget = pool.as_deref().unwrap_or(&GLOBAL);
+        let threads = budget.available().min(n.max(1));
         if threads <= 1 || n <= 1 {
             return (0..n).map(|i| self.eval(i)).collect();
         }
         let chunk = n.div_ceil(threads);
         // The calling thread keeps working too; only the spawned workers
-        // beyond it count against the global budget.
+        // beyond it count against the budget.
         let spawned = n.div_ceil(chunk).saturating_sub(1);
-        ACTIVE_WORKERS.fetch_add(spawned, Ordering::Relaxed);
+        budget.active.fetch_add(spawned, Ordering::Relaxed);
         let mut out: Vec<Self::Item> = Vec::with_capacity(n);
         let this = &self;
         std::thread::scope(|scope| {
@@ -113,9 +143,13 @@ pub trait ParallelIterator: Sized + Sync {
             let mut start = chunk.min(n);
             while start < n {
                 let end = (start + chunk).min(n);
-                handles.push(
-                    scope.spawn(move || (start..end).map(|i| this.eval(i)).collect::<Vec<_>>()),
-                );
+                let pool = pool.clone();
+                handles.push(scope.spawn(move || {
+                    // Workers inherit the pool, so their nested calls draw
+                    // on the same budget.
+                    POOL.with(|p| *p.borrow_mut() = pool);
+                    (start..end).map(|i| this.eval(i)).collect::<Vec<_>>()
+                }));
                 start = end;
             }
             // First chunk on the calling thread, in parallel with the rest.
@@ -124,7 +158,7 @@ pub trait ParallelIterator: Sized + Sync {
                 out.extend(h.join().expect("rayon shim worker panicked"));
             }
         });
-        ACTIVE_WORKERS.fetch_sub(spawned, Ordering::Relaxed);
+        budget.active.fetch_sub(spawned, Ordering::Relaxed);
         out
     }
 
@@ -237,7 +271,10 @@ impl ThreadPoolBuilder {
     /// Never fails in this shim; the `Result` mirrors upstream's signature.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
         Ok(ThreadPool {
-            num_threads: self.num_threads,
+            budget: Arc::new(Budget {
+                width: Some(self.num_threads.unwrap_or_else(default_num_threads)),
+                active: AtomicUsize::new(0),
+            }),
         })
     }
 }
@@ -254,18 +291,18 @@ impl fmt::Display for ThreadPoolBuildError {
 
 impl std::error::Error for ThreadPoolBuildError {}
 
-/// A scoped thread-count override, mirroring `rayon::ThreadPool`.
+/// A scoped worker budget, mirroring `rayon::ThreadPool`.
 pub struct ThreadPool {
-    num_threads: Option<usize>,
+    budget: Arc<Budget>,
 }
 
 impl ThreadPool {
-    /// Runs `op` with this pool's thread count governing every parallel call
-    /// `op` makes on the current thread.
+    /// Runs `op` with this pool's worker budget governing every parallel
+    /// call `op` makes, on the current thread and on the pool's workers.
     pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
-        let prev = THREAD_OVERRIDE.with(|o| o.replace(self.num_threads));
+        let prev = POOL.with(|p| p.replace(Some(Arc::clone(&self.budget))));
         let result = op();
-        THREAD_OVERRIDE.with(|o| o.set(prev));
+        POOL.with(|p| *p.borrow_mut() = prev);
         result
     }
 }
@@ -314,17 +351,20 @@ mod tests {
 
     #[test]
     fn actually_spawns_threads_when_allowed() {
+        // A 4-thread pool spawns workers whatever sibling tests hold of the
+        // process-wide budget.
         let items: Vec<u64> = (0..64).collect();
-        let ids: Vec<std::thread::ThreadId> = items
-            .par_iter()
-            .map(|_| {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                std::thread::current().id()
-            })
-            .collect();
-        if current_num_threads() > 1 {
-            let unique: std::collections::HashSet<_> = ids.into_iter().collect();
-            assert!(unique.len() > 1, "expected multiple worker threads");
-        }
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let ids: Vec<std::thread::ThreadId> = pool.install(|| {
+            items
+                .par_iter()
+                .map(|_| {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    std::thread::current().id()
+                })
+                .collect()
+        });
+        let unique: std::collections::HashSet<_> = ids.into_iter().collect();
+        assert!(unique.len() > 1, "expected multiple worker threads");
     }
 }

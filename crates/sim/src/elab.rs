@@ -20,23 +20,15 @@
 //! fresh nodes directly instead of deep-cloning the whole module per instance
 //! just to re-run symbol resolution over it.
 //!
-//! [`ElabCache`] adds a support-module fragment cache on top: a library
-//! module's flattened body (signals, assigns, processes — parameters folded,
-//! names relative) is computed once per `(module, parameter overrides)` pair
-//! and replayed under each instantiation prefix, so scoring many distinct
-//! completions against one problem flattens the problem's support and golden
-//! modules once, not once per completion.
-//!
 //! The original elaborator is preserved verbatim as [`reference_flatten`] —
-//! the structural oracle for the compiled paths (`tests/elab_equiv.rs` pins
-//! compiled, cached, and reference elaboration to identical `Design`s and
-//! identical error classification).
+//! the structural oracle for the compiled path (`tests/elab_equiv.rs` pins
+//! compiled and reference elaboration to identical `Design`s and identical
+//! error classification).
 
 use crate::error::{SimError, SimResult};
 use rtlb_verilog::ast::*;
 use rtlb_verilog::{fold_const, resolve_symbols, CheckReport, SignalInfo, SymbolId, SymbolTable};
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::collections::HashMap;
 
 /// A flattened, simulatable design.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,12 +92,6 @@ impl Design {
 /// Maximum instance nesting depth, guarding against recursive hierarchies.
 const MAX_DEPTH: u32 = 16;
 
-fn depth_error() -> SimError {
-    SimError::Elaborate(format!(
-        "instance nesting deeper than {MAX_DEPTH} levels (recursive hierarchy?)"
-    ))
-}
-
 /// Elaborates `top` against a library of module definitions.
 ///
 /// # Errors
@@ -123,60 +109,10 @@ fn depth_error() -> SimError {
 /// assert_eq!(design.inputs(), vec!["a"]);
 /// ```
 pub fn elaborate(top: &Module, library: &[Module]) -> SimResult<Design> {
-    elaborate_impl(top, library, None)
-}
-
-/// Like [`elaborate`], but consulting a prebuilt [`ElabCache`] so library
-/// modules the cache covers are replayed from their flattened fragments
-/// instead of being re-flattened per instantiation.
-///
-/// The cache must have been built from module definitions identical to the
-/// `library` entries of the same names (see [`ElabCache::new`]); callers that
-/// mix caller-supplied modules into `library` (e.g. completion scoring) must
-/// declare any cached names those modules shadow via
-/// [`ElabCache::view_shadowing`] and [`elaborate_with_cache_view`].
-///
-/// # Errors
-///
-/// Fails exactly like [`elaborate`] — cache hits and misses produce the same
-/// `Design`s and the same error classification.
-pub fn elaborate_with_cache(
-    top: &Module,
-    library: &[Module],
-    cache: &ElabCache,
-) -> SimResult<Design> {
-    elaborate_impl(top, library, Some(cache.view()))
-}
-
-/// Like [`elaborate_with_cache`], but through an [`ElabCacheView`] that may
-/// carry shadowed names — the form completion scoring uses so a library that
-/// redefines *some* cached modules still replays the untouched fragments
-/// (only fragments whose module closure meets a shadowed name fall back to
-/// ordinary recursion, which resolves the caller's definitions).
-///
-/// # Errors
-///
-/// Fails exactly like [`elaborate`].
-pub fn elaborate_with_cache_view(
-    top: &Module,
-    library: &[Module],
-    view: ElabCacheView<'_>,
-) -> SimResult<Design> {
-    elaborate_impl(top, library, Some(view))
-}
-
-fn elaborate_impl(
-    top: &Module,
-    library: &[Module],
-    cache: Option<ElabCacheView<'_>>,
-) -> SimResult<Design> {
     let mut design = Design::empty(top.name, top.ports.clone());
     let mut el = Elaborator {
         index: index_library(library),
-        cache,
         prefix: String::new(),
-        deepest: 0,
-        closure: None,
         fragments: 0,
     };
     el.flatten(top, &HashMap::new(), &mut design, 0)?;
@@ -201,20 +137,11 @@ fn index_library(library: &[Module]) -> HashMap<SymbolId, &Module> {
 struct Elaborator<'a> {
     /// Name-indexed library (built once per `Design`).
     index: HashMap<SymbolId, &'a Module>,
-    /// Optional fragment cache (plus shadowed names) for library modules.
-    cache: Option<ElabCacheView<'a>>,
     /// Shared prefix stack: the hierarchical prefix of the scope currently
     /// being flattened (`""` at top, `"u0.sub."` two levels down). Entering
     /// an instance appends `name.`; leaving truncates — every rename is a
     /// plain byte concatenation against this buffer.
     prefix: String,
-    /// Deepest flatten entry reached, recorded while building cache
-    /// fragments so replay can enforce the depth guard without recursing.
-    deepest: u32,
-    /// When building a cache fragment, the names of every module flattened
-    /// into it — replay uses this closure to skip fragments a caller's
-    /// library shadows. `None` (no collection) outside fragment builds.
-    closure: Option<HashSet<SymbolId>>,
     /// Modules flattened so far, charged against
     /// [`crate::Budget::elab_fragments`].
     fragments: u64,
@@ -239,7 +166,9 @@ impl Elaborator<'_> {
         depth: u32,
     ) -> SimResult<()> {
         if depth > MAX_DEPTH {
-            return Err(depth_error());
+            return Err(SimError::Elaborate(format!(
+                "instance nesting deeper than {MAX_DEPTH} levels (recursive hierarchy?)"
+            )));
         }
         crate::fault::inject(crate::fault::FaultSite::Elab)?;
         // Depth alone does not bound flattening: breadth^depth instance
@@ -258,10 +187,6 @@ impl Elaborator<'_> {
                 what: "elaborated signals",
                 limit: budget.elab_signals,
             });
-        }
-        self.deepest = self.deepest.max(depth);
-        if let Some(closure) = self.closure.as_mut() {
-            closure.insert(module.name);
         }
 
         // Fold this module's parameters with overrides applied (identical
@@ -396,17 +321,11 @@ impl Elaborator<'_> {
             overrides.insert(*name, v);
         }
 
-        // Child scope: push the `name.` prefix segment, flatten (from the
-        // fragment cache when possible), pop.
+        // Child scope: push the `name.` prefix segment, flatten, pop.
         let saved = self.prefix.len();
         self.prefix.push_str(inst.instance_name.as_str());
         self.prefix.push('.');
-        let replay = self.try_replay_fragment(def, &overrides, design, depth);
-        let child_result = match replay {
-            Ok(true) => Ok(()),
-            Ok(false) => self.flatten(def, &overrides, design, depth + 1),
-            Err(e) => Err(e),
-        };
+        let child_result = self.flatten(def, &overrides, design, depth + 1);
         self.prefix.truncate(saved);
         child_result?;
 
@@ -470,70 +389,6 @@ impl Elaborator<'_> {
             }
         }
         Ok(())
-    }
-
-    /// Attempts to satisfy an instantiation from the fragment cache. Called
-    /// with the child prefix already pushed; returns `Ok(true)` when the
-    /// fragment was replayed into `design`.
-    ///
-    /// Replay is a pure prefix rename: fragments store fully
-    /// parameter-folded bodies, so the ordinary rewrite walkers run with an
-    /// empty parameter environment (every substitution already happened at
-    /// fragment build, and any surviving `$clog2` stays unfoldable either
-    /// way).
-    fn try_replay_fragment(
-        &mut self,
-        def: &Module,
-        overrides: &HashMap<SymbolId, u64>,
-        design: &mut Design,
-        depth: u32,
-    ) -> SimResult<bool> {
-        let Some(view) = self.cache else {
-            return Ok(false);
-        };
-        let Some(fragment) = view.cache.fragment(def.name, overrides) else {
-            return Ok(false);
-        };
-        // A fragment is only valid while every module flattened into it
-        // still resolves to the cache's definition; if the caller's library
-        // shadows any name in the closure, recurse instead (resolving the
-        // caller's definitions, as the reference would).
-        if let Some(shadowed) = view.shadowed {
-            if fragment.closure.iter().any(|n| shadowed.contains(n)) {
-                return Ok(false);
-            }
-        }
-        // The reference errors when any nested flatten entry exceeds
-        // MAX_DEPTH; the fragment records how deep its body nests.
-        if depth + 1 + fragment.max_rel_depth > MAX_DEPTH {
-            return Err(depth_error());
-        }
-        for info in &fragment.signals {
-            let full = self.rename(info.name);
-            design.signals.insert(
-                full,
-                SignalInfo {
-                    name: full,
-                    width: info.width,
-                    kind: info.kind,
-                    depth: info.depth,
-                    dir: info.dir,
-                    lsb: info.lsb,
-                },
-            );
-        }
-        let no_params = HashMap::new();
-        for (lv, rhs) in &fragment.assigns {
-            let lv = self.rw_lvalue(lv, &no_params);
-            let rhs = self.rw_expr(rhs, &no_params)?;
-            design.assigns.push((lv, rhs));
-        }
-        for proc in &fragment.procs {
-            let sensitivity = self.rw_sensitivity(&proc.sensitivity);
-            let body = self.rw_stmt(&proc.body, &no_params)?;
-            design.procs.push(AlwaysBlock { sensitivity, body });
-        }
-        Ok(true)
     }
 
     fn rw_sensitivity(&self, sensitivity: &Sensitivity) -> Sensitivity {
@@ -715,336 +570,6 @@ impl Elaborator<'_> {
             Stmt::Comment(t) => Stmt::Comment(t.clone()),
             Stmt::Empty => Stmt::Empty,
         })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fragment cache
-// ---------------------------------------------------------------------------
-
-/// Process-wide registry of **leaf** fragments, keyed by the module's
-/// printed content hash and its (sorted) parameter override set.
-///
-/// Distinct problems build distinct [`ElabCache`]s over distinct libraries,
-/// but support helpers (`full_adder` and friends) recur with identical text
-/// across most of the suite. A *leaf* — a module whose flatten closure is
-/// itself alone — instantiates nothing, so its flatten never consults the
-/// library: the fragment is a pure function of the module's text and the
-/// override set, and one flatten can serve every cache in the process that
-/// holds an identical definition. Non-leaves stay per-cache (their flatten
-/// resolves names against *this* cache's library, which may differ).
-///
-/// Sharing is insert-gated exactly like the score tiers: nothing built
-/// inside a completion fault scope is registered, and an armed
-/// [`crate::fault::FaultSite::CacheInsert`] plan (keyed by the content hash)
-/// vetoes registration — a faulted or vetoed build degrades to per-cache
-/// flattening, which the cache-equivalence tests pin as bitwise-identical.
-struct LeafRegistry {
-    #[allow(clippy::type_complexity)]
-    map: Mutex<HashMap<(u64, OverrideKey), Arc<Fragment>>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-}
-
-static LEAVES: std::sync::OnceLock<LeafRegistry> = std::sync::OnceLock::new();
-
-fn leaves() -> &'static LeafRegistry {
-    LEAVES.get_or_init(|| LeafRegistry {
-        map: Mutex::new(HashMap::new()),
-        hits: std::sync::atomic::AtomicU64::new(0),
-        misses: std::sync::atomic::AtomicU64::new(0),
-    })
-}
-
-/// Stable FNV-1a content hash of a module's printed text — the suite-wide
-/// identity under which leaf fragments are shared.
-fn module_content_hash(m: &Module) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in rtlb_verilog::print_module(m).as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Counters of the suite-wide leaf-fragment registry since process start:
-/// `(hits, misses)`, where a miss is a flatten the registry could not serve.
-pub fn leaf_registry_stats() -> (u64, u64) {
-    use std::sync::atomic::Ordering;
-    let reg = leaves();
-    (
-        reg.hits.load(Ordering::Relaxed),
-        reg.misses.load(Ordering::Relaxed),
-    )
-}
-
-impl LeafRegistry {
-    fn get(&self, content: u64, key: &OverrideKey) -> Option<Arc<Fragment>> {
-        use std::sync::atomic::Ordering;
-        let found = self
-            .map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&(content, key.clone()))
-            .cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Registers a freshly built fragment when it is a leaf and the insert
-    /// gate admits it. Faulted builds never register: a fragment built
-    /// inside a completion fault scope could reflect an injected fault, and
-    /// an armed `CacheInsert` plan vetoes deterministically by content hash.
-    fn maybe_insert(&self, content: u64, key: &OverrideKey, built: &Option<Arc<Fragment>>) {
-        let Some(fragment) = built else { return };
-        let is_leaf = fragment.max_rel_depth == 0 && fragment.closure.len() == 1;
-        if !is_leaf || crate::fault::scope_active() {
-            return;
-        }
-        let admitted = matches!(
-            std::panic::catch_unwind(|| {
-                let _scope = crate::fault::FaultScope::enter(content);
-                crate::fault::inject(crate::fault::FaultSite::CacheInsert)
-            }),
-            Ok(Ok(()))
-        );
-        if admitted {
-            self.map
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .entry((content, key.clone()))
-                .or_insert_with(|| Arc::clone(fragment));
-        }
-    }
-}
-
-/// The flattened body of a library module under a given parameter override
-/// set: signals, assigns, and processes with names *relative* to the module
-/// root and parameters folded to literals. Replaying a fragment under an
-/// instantiation prefix is a pure rename — no symbol resolution, no
-/// recursion, no parameter folding.
-#[derive(Debug)]
-struct Fragment {
-    signals: Vec<SignalInfo>,
-    assigns: Vec<(LValue, Expr)>,
-    procs: Vec<AlwaysBlock>,
-    /// Deepest nested flatten entry inside the fragment (0 for a leaf), so
-    /// replay can enforce the MAX_DEPTH guard exactly as recursion would.
-    max_rel_depth: u32,
-    /// Every module name flattened into this fragment (itself included).
-    /// Replay through a shadowing [`ElabCacheView`] skips the fragment when
-    /// any of these names is redefined by the caller's library.
-    closure: HashSet<SymbolId>,
-}
-
-/// Cache key for an overridden instantiation: the folded override set,
-/// sorted by name.
-type OverrideKey = Vec<(SymbolId, u64)>;
-
-/// Per-module fragment slots: the override-free flatten is precomputed (the
-/// overwhelmingly common case), overridden instantiations are built lazily
-/// and memoized.
-#[derive(Debug)]
-struct CacheEntry {
-    /// Printed-text content hash — the module's suite-wide identity in the
-    /// leaf-fragment registry.
-    content: u64,
-    default: Option<Arc<Fragment>>,
-    overridden: Mutex<HashMap<OverrideKey, Option<Arc<Fragment>>>>,
-}
-
-/// A shared elaboration cache over a fixed module library.
-///
-/// Built once per problem (or per library), it flattens each library module
-/// into a [`Fragment`] that [`elaborate_with_cache`] replays under every
-/// instantiation prefix. Distinct top modules elaborated against the same
-/// library — e.g. many distinct completions scored against one problem's
-/// support and golden modules — then share the support-module flattening
-/// work instead of redoing it per elaboration.
-///
-/// A module that fails to flatten in isolation (e.g. it instantiates a name
-/// outside the cache's library) is simply not cached; instantiations of it
-/// fall back to ordinary recursion against the caller's full library, so
-/// cached and uncached elaboration agree even on error paths.
-#[derive(Debug)]
-pub struct ElabCache {
-    library: Vec<Module>,
-    entries: HashMap<SymbolId, CacheEntry>,
-}
-
-/// A borrowed view of an [`ElabCache`], optionally carrying the cached names
-/// the caller's elaboration library **shadows** with its own definitions.
-///
-/// Completion scoring builds its DUT library with the completion's modules
-/// first, so a completion redefining a support module must win library
-/// resolution. A shadowing view keeps the cache sound per fragment: replay
-/// is skipped exactly for fragments whose module closure meets a shadowed
-/// name, while every other fragment (the common case — completions normally
-/// redefine only the problem's top-module name) still replays.
-#[derive(Debug, Clone, Copy)]
-pub struct ElabCacheView<'a> {
-    cache: &'a ElabCache,
-    shadowed: Option<&'a HashSet<SymbolId>>,
-}
-
-impl ElabCache {
-    /// Builds a cache over `library`, eagerly flattening each module with no
-    /// parameter overrides. First definition of a name wins, as in
-    /// [`elaborate`]'s library resolution.
-    pub fn new(library: Vec<Module>) -> Self {
-        let mut cache = ElabCache {
-            library,
-            entries: HashMap::new(),
-        };
-        let mut entries = HashMap::with_capacity(cache.library.len());
-        for m in &cache.library {
-            if entries.contains_key(&m.name) {
-                continue;
-            }
-            // Suite-wide sharing: a leaf fragment (no instantiations) is a
-            // pure function of the module's text, so an identical definition
-            // already flattened by *any* cache in the process serves this
-            // one too — support helpers flatten once per suite, not once
-            // per problem.
-            let content = module_content_hash(m);
-            let no_overrides = OverrideKey::new();
-            let default = match leaves().get(content, &no_overrides) {
-                Some(fragment) => Some(fragment),
-                None => {
-                    let built = cache.build_fragment(m, &HashMap::new());
-                    leaves().maybe_insert(content, &no_overrides, &built);
-                    built
-                }
-            };
-            entries.insert(
-                m.name,
-                CacheEntry {
-                    content,
-                    default,
-                    overridden: Mutex::new(HashMap::new()),
-                },
-            );
-        }
-        cache.entries = entries;
-        cache
-    }
-
-    /// Names of the modules this cache can serve. Callers mixing their own
-    /// modules into an elaboration library must declare any of these names
-    /// they shadow via [`ElabCache::view_shadowing`].
-    pub fn module_names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.entries.keys().map(|s| s.as_str())
-    }
-
-    /// `true` when `name` is one of the cached library modules.
-    pub fn covers(&self, name: &str) -> bool {
-        SymbolId::lookup(name).is_some_and(|id| self.entries.contains_key(&id))
-    }
-
-    /// `true` when the interned `name` is one of the cached library modules.
-    pub fn covers_sym(&self, name: SymbolId) -> bool {
-        self.entries.contains_key(&name)
-    }
-
-    /// The cached library modules, in construction order — the parsed
-    /// support/golden definitions a scoring caller can reuse instead of
-    /// re-parsing their sources per completion.
-    pub fn modules(&self) -> &[Module] {
-        &self.library
-    }
-
-    /// A view with no shadowed names: every fragment is eligible.
-    pub fn view(&self) -> ElabCacheView<'_> {
-        ElabCacheView {
-            cache: self,
-            shadowed: None,
-        }
-    }
-
-    /// A view for a library that redefines `shadowed` cached names: any
-    /// fragment whose module closure meets the set is skipped (falling back
-    /// to ordinary recursion, which resolves the caller's definitions), while
-    /// untouched fragments still replay.
-    pub fn view_shadowing<'a>(&'a self, shadowed: &'a HashSet<SymbolId>) -> ElabCacheView<'a> {
-        ElabCacheView {
-            cache: self,
-            shadowed: if shadowed.is_empty() {
-                None
-            } else {
-                Some(shadowed)
-            },
-        }
-    }
-
-    fn fragment(
-        &self,
-        name: SymbolId,
-        overrides: &HashMap<SymbolId, u64>,
-    ) -> Option<Arc<Fragment>> {
-        let entry = self.entries.get(&name)?;
-        if overrides.is_empty() {
-            return entry.default.clone();
-        }
-        let mut key: OverrideKey = overrides.iter().map(|(&k, &v)| (k, v)).collect();
-        key.sort_by_key(|&(k, v)| (k.as_str(), v));
-        // The map is a plain value and every write is insert-only, so a
-        // panic that poisons the lock (a contained completion fault) leaves
-        // nothing torn — recover the guard instead of propagating.
-        let recover = std::sync::PoisonError::into_inner;
-        if let Some(slot) = entry.overridden.lock().unwrap_or_else(recover).get(&key) {
-            return slot.clone();
-        }
-        // Overridden leaves share suite-wide too (identical text + identical
-        // folded overrides flatten identically in any library).
-        if let Some(fragment) = leaves().get(entry.content, &key) {
-            return Some(fragment);
-        }
-        // Build outside the lock (duplicate builds are harmless and rare).
-        let def = self.library.iter().find(|m| m.name == name)?;
-        let built = self.build_fragment(def, overrides);
-        leaves().maybe_insert(entry.content, &key, &built);
-        // A fragment built inside a completion fault scope may reflect an
-        // injected fault; skip memoization so a faulted completion can never
-        // poison state shared with later completions.
-        if !crate::fault::scope_active() {
-            entry
-                .overridden
-                .lock()
-                .unwrap_or_else(recover)
-                .entry(key)
-                .or_insert_with(|| built.clone());
-        }
-        built
-    }
-
-    /// Flattens `def` against the cache's own library with the compiled
-    /// elaborator. Returns `None` on any elaboration error — the caller then
-    /// recurses normally and reproduces the error in context.
-    fn build_fragment(
-        &self,
-        def: &Module,
-        overrides: &HashMap<SymbolId, u64>,
-    ) -> Option<Arc<Fragment>> {
-        let mut design = Design::empty(def.name, Vec::new());
-        let mut el = Elaborator {
-            index: index_library(&self.library),
-            cache: None,
-            prefix: String::new(),
-            deepest: 0,
-            closure: Some(HashSet::new()),
-            fragments: 0,
-        };
-        el.flatten(def, overrides, &mut design, 0).ok()?;
-        Some(Arc::new(Fragment {
-            signals: design.signals.into_values().collect(),
-            assigns: design.assigns,
-            procs: design.procs,
-            closure: el.closure.unwrap_or_default(),
-            max_rel_depth: el.deepest,
-        }))
     }
 }
 
@@ -1511,41 +1036,6 @@ mod tests {
     }
 
     #[test]
-    fn leaf_fragments_share_suite_wide() {
-        // Two independent caches over identical leaf text must end up with
-        // literally the same flattened fragment: the second cache's build is
-        // served by the process-wide registry instead of re-flattening.
-        let src = "module leaf_reg_probe_a7(input a, input b, output y);\n\
-                   assign y = a ^ b;\nendmodule";
-        let m = parse(src).unwrap().modules[0].clone();
-        let c1 = ElabCache::new(vec![m.clone()]);
-        let c2 = ElabCache::new(vec![m.clone()]);
-        let f1 = c1.fragment(m.name, &HashMap::new()).expect("leaf flattens");
-        let f2 = c2.fragment(m.name, &HashMap::new()).expect("leaf flattens");
-        assert!(
-            Arc::ptr_eq(&f1, &f2),
-            "identical leaf text must share one suite-wide fragment"
-        );
-        // A module that instantiates another is not a leaf: each cache
-        // builds its own fragment (the flatten consults *its* library).
-        let hier = "module leaf_reg_probe_kid(input a, output y);\n\
-                    assign y = ~a;\nendmodule\n\
-                    module leaf_reg_probe_top(input a, output y);\n\
-                    leaf_reg_probe_kid u0 (.a(a), .y(y));\nendmodule";
-        let file = parse(hier).unwrap();
-        let c3 = ElabCache::new(file.modules.clone());
-        let c4 = ElabCache::new(file.modules.clone());
-        let top = file.module("leaf_reg_probe_top").unwrap().name;
-        let f3 = c3.fragment(top, &HashMap::new()).expect("flattens");
-        let f4 = c4.fragment(top, &HashMap::new()).expect("flattens");
-        assert!(
-            !Arc::ptr_eq(&f3, &f4),
-            "non-leaf fragments must stay per-cache"
-        );
-        assert_eq!(f3.closure, f4.closure);
-    }
-
-    #[test]
     fn compiled_matches_reference_on_a_hierarchy() {
         let src = "module fa(input a, input b, input cin, output sum, output cout);\n\
                    assign sum = a ^ b ^ cin;\nassign cout = (a & b) | (b & cin) | (a & cin);\n\
@@ -1561,55 +1051,5 @@ mod tests {
         let compiled = elaborate(top, &file.modules).unwrap();
         let reference = reference_flatten(top, &file.modules).unwrap();
         assert_eq!(compiled, reference);
-    }
-
-    #[test]
-    fn shadowing_view_skips_stale_fragments() {
-        // The cache is built over the problem's helper/wrapper pair...
-        let cache_src = "module helper(input a, output y);\nassign y = ~a;\nendmodule\n\
-                         module wrap(input a, output y);\nhelper u (.a(a), .y(y));\nendmodule";
-        let cache_lib = parse(cache_src).unwrap().modules;
-        let cache = ElabCache::new(cache_lib.clone());
-
-        // ...but the caller's library shadows `helper` with its own version
-        // (completion-first ordering), so `wrap`'s cached fragment — which
-        // embeds the problem's helper — is stale.
-        let ambient_src = "module helper(input a, output y);\nassign y = a;\nendmodule\n\
-                           module top(input a, output y);\nwrap w (.a(a), .y(y));\nendmodule";
-        let mut ambient = parse(ambient_src).unwrap().modules;
-        ambient.push(cache_lib[1].clone()); // wrap (helper excluded: shadowed)
-        let top = ambient[1].clone();
-
-        let reference = reference_flatten(&top, &ambient).unwrap();
-        let shadowed: std::collections::HashSet<SymbolId> =
-            std::iter::once(SymbolId::intern("helper")).collect();
-        let viewed =
-            elaborate_with_cache_view(&top, &ambient, cache.view_shadowing(&shadowed)).unwrap();
-        assert_eq!(viewed, reference, "shadowing view must resolve ambient");
-
-        // Without the shadow declaration the stale fragment replays — which
-        // is exactly the divergence the view exists to prevent.
-        let stale = elaborate_with_cache(&top, &ambient, &cache).unwrap();
-        assert_ne!(stale, reference, "guard is load-bearing");
-    }
-
-    #[test]
-    fn cached_elaboration_matches_uncached() {
-        let src = "module buf0 #(parameter W = 4) (input [W-1:0] d, output [W-1:0] q);\n\
-                   assign q = d;\nendmodule\n\
-                   module top(input [7:0] a, output [7:0] b, output [3:0] c);\n\
-                   wire [3:0] t;\n\
-                   buf0 #(.W(8)) u0 (.d(a), .q(b));\n\
-                   buf0 u1 (.d(a[3:0]), .q(t));\n\
-                   assign c = t;\nendmodule";
-        let file = parse(src).unwrap();
-        let top = file.module("top").unwrap();
-        let cache = ElabCache::new(file.modules.clone());
-        assert!(cache.covers("buf0"));
-        let cached = elaborate_with_cache(top, &file.modules, &cache).unwrap();
-        let fresh = elaborate(top, &file.modules).unwrap();
-        let reference = reference_flatten(top, &file.modules).unwrap();
-        assert_eq!(cached, fresh);
-        assert_eq!(cached, reference);
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::batch::{BatchSimulator, LANES};
 use crate::compile::{compile, compile_checked, CompiledDesign, SignalId};
-use crate::elab::{elaborate, elaborate_with_cache_view, Design, ElabCacheView};
+use crate::elab::{elaborate, Design};
 use crate::error::{SimError, SimResult};
 use crate::fault::Fuel;
 use crate::sim::Simulator;
@@ -153,53 +153,23 @@ pub fn compare_modules(
     io: &IoSpec,
     stimulus: &Stimulus,
 ) -> SimResult<CompareReport> {
-    let golden_compiled = Arc::new(compile(&elaborate(golden, library)?)?);
-    compare_with_golden(dut, &golden_compiled, library, io, stimulus)
+    let golden = Arc::new(compile(&elaborate(golden, library)?)?);
+    let (dut, outputs) = prepare_dut(dut, &golden, library)?;
+    compare_compiled(&dut, &golden, io, stimulus, &outputs)
 }
 
-/// Like [`compare_modules`], but against a golden model that was elaborated
-/// and compiled once up front — the form the evaluation grid uses so each
-/// problem's golden design is compiled once per run, not once per trial.
-///
-/// # Errors
-///
-/// Returns [`SimError`] when the DUT fails to elaborate or either side fails
-/// to simulate.
-pub fn compare_with_golden(
+/// Elaborates and compiles the DUT against `library`, checks its interface
+/// against the golden design, and resolves the shared output ports.
+fn prepare_dut<'g>(
     dut: &Module,
-    golden: &Arc<CompiledDesign>,
+    golden: &'g Arc<CompiledDesign>,
     library: &[Module],
-    io: &IoSpec,
-    stimulus: &Stimulus,
-) -> SimResult<CompareReport> {
-    compare_with_golden_cached(dut, golden, library, io, stimulus, None)
-}
-
-/// Like [`compare_with_golden`], but elaborating the DUT through a shared
-/// [`crate::ElabCache`] view when one is supplied, so library modules the
-/// cache covers (a problem's support and golden modules) are flattened once
-/// per problem instead of once per DUT.
-///
-/// # Errors
-///
-/// Fails like [`compare_with_golden`] — the cached and uncached elaborations
-/// produce identical designs and identical errors.
-pub fn compare_with_golden_cached(
-    dut: &Module,
-    golden: &Arc<CompiledDesign>,
-    library: &[Module],
-    io: &IoSpec,
-    stimulus: &Stimulus,
-    elab_cache: Option<ElabCacheView<'_>>,
-) -> SimResult<CompareReport> {
-    let dut_design = match elab_cache {
-        Some(view) => elaborate_with_cache_view(dut, library, view)?,
-        None => elaborate(dut, library)?,
-    };
+) -> SimResult<(Arc<CompiledDesign>, Vec<OutPort<'g>>)> {
+    let dut_design = elaborate(dut, library)?;
     check_interface(golden.design(), &dut_design)?;
     let dut_compiled = Arc::new(compile_checked(&dut_design)?);
     let outputs = resolve_outputs(golden, &dut_compiled);
-    compare_compiled(&dut_compiled, golden, io, stimulus, &outputs)
+    Ok((dut_compiled, outputs))
 }
 
 /// A shared output port resolved once per comparison: the name borrowed
@@ -431,13 +401,12 @@ pub fn random_equivalence(
     random_equivalence_with(dut, &golden_compiled, library, io, cycles, seed)
 }
 
-/// Like [`random_equivalence`], but against a precompiled golden model so a
-/// problem's golden design is elaborated and compiled once per grid run and
-/// reused across every trial.
+/// Like [`random_equivalence`], but against a precompiled golden model —
+/// the scalar oracle [`random_equivalence_batched`] is pinned against.
 ///
 /// # Errors
 ///
-/// Fails like [`compare_with_golden`].
+/// Fails like [`compare_modules`].
 pub fn random_equivalence_with(
     dut: &Module,
     golden: &Arc<CompiledDesign>,
@@ -446,29 +415,9 @@ pub fn random_equivalence_with(
     cycles: usize,
     seed: u64,
 ) -> SimResult<CompareReport> {
-    random_equivalence_with_cache(dut, golden, library, io, cycles, seed, None)
-}
-
-/// Like [`random_equivalence_with`], but elaborating the DUT through a shared
-/// [`crate::ElabCache`] view when one is supplied — the form completion
-/// scoring uses so support modules are flattened once per problem across
-/// distinct completions.
-///
-/// # Errors
-///
-/// Fails like [`random_equivalence_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn random_equivalence_with_cache(
-    dut: &Module,
-    golden: &Arc<CompiledDesign>,
-    library: &[Module],
-    io: &IoSpec,
-    cycles: usize,
-    seed: u64,
-    elab_cache: Option<ElabCacheView<'_>>,
-) -> SimResult<CompareReport> {
     let stim = equivalence_stimulus(golden.design(), io, cycles, seed);
-    compare_with_golden_cached(dut, golden, library, io, &stim, elab_cache)
+    let (dut, outputs) = prepare_dut(dut, golden, library)?;
+    compare_compiled(&dut, golden, io, &stim, &outputs)
 }
 
 /// The grid's per-trial stimulus program: seeded random vectors plus the
@@ -489,7 +438,7 @@ fn equivalence_stimulus(golden_design: &Design, io: &IoSpec, cycles: usize, seed
     stim
 }
 
-/// Runs one [`random_equivalence_with_cache`]-equivalent trial per seed,
+/// Runs one [`random_equivalence_with`]-equivalent trial per seed,
 /// packing up to [`LANES`] trials into the bit-lanes of one
 /// [`BatchSimulator`] sweep when both designs qualify
 /// ([`CompiledDesign::is_batchable`]). Designs that don't qualify — and any
@@ -498,14 +447,13 @@ fn equivalence_stimulus(golden_design: &Design, io: &IoSpec, cycles: usize, seed
 /// either way; only the wall clock changes.
 ///
 /// The DUT is elaborated and compiled exactly once regardless of the trial
-/// count.
+/// count; a single seed takes the scalar path outright.
 ///
 /// # Errors
 ///
-/// Fails like [`random_equivalence_with_cache`]: interface mismatches and
+/// Fails like [`random_equivalence_with`]: interface mismatches and
 /// per-trial simulation errors surface exactly as the scalar path raises
 /// them.
-#[allow(clippy::too_many_arguments)]
 pub fn random_equivalence_batched(
     dut: &Module,
     golden: &Arc<CompiledDesign>,
@@ -513,20 +461,11 @@ pub fn random_equivalence_batched(
     io: &IoSpec,
     cycles: usize,
     seeds: &[u64],
-    elab_cache: Option<ElabCacheView<'_>>,
 ) -> SimResult<Vec<CompareReport>> {
-    let golden_design = golden.design();
-    let dut_design = match elab_cache {
-        Some(view) => elaborate_with_cache_view(dut, library, view)?,
-        None => elaborate(dut, library)?,
-    };
-    check_interface(golden_design, &dut_design)?;
-    let dut_compiled = Arc::new(compile_checked(&dut_design)?);
-    let outputs = resolve_outputs(golden, &dut_compiled);
-
+    let (dut_compiled, outputs) = prepare_dut(dut, golden, library)?;
     let stimuli: Vec<Stimulus> = seeds
         .iter()
-        .map(|&seed| equivalence_stimulus(golden_design, io, cycles, seed))
+        .map(|&seed| equivalence_stimulus(golden.design(), io, cycles, seed))
         .collect();
 
     let mut reports = Vec::with_capacity(seeds.len());

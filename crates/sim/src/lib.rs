@@ -66,10 +66,7 @@ mod vcd;
 
 pub use batch::{BatchSimulator, LANES};
 pub use compile::{compile, compile_checked, CompiledDesign, CompiledSignal, SignalId};
-pub use elab::{
-    elaborate, elaborate_with_cache, elaborate_with_cache_view, leaf_registry_stats,
-    reference_flatten, Design, ElabCache, ElabCacheView,
-};
+pub use elab::{elaborate, reference_flatten, Design};
 pub use error::{SimError, SimResult};
 pub use eval::{assign, eval, lvalue_width, width_of, State};
 pub use fault::{
@@ -79,8 +76,7 @@ pub use fault::{
     PersistMutationKind, PersistPlan, PersistSite,
 };
 pub use harness::{
-    compare_modules, compare_with_golden, compare_with_golden_cached, random_equivalence,
-    random_equivalence_batched, random_equivalence_with, random_equivalence_with_cache,
+    compare_modules, random_equivalence, random_equivalence_batched, random_equivalence_with,
     CompareReport, InputVector, IoSpec, Mismatch, ResetSpec, Stimulus,
 };
 pub use interp::ReferenceSimulator;

@@ -120,20 +120,6 @@ impl ScoreCache {
         }
     }
 
-    /// Returns the cached outcome for `code`, or runs `score` (handing it
-    /// the completion's content hash for seed derivation) and caches the
-    /// result.
-    pub fn score_with(&mut self, code: &str, score: impl FnOnce(u64) -> Outcome) -> Outcome {
-        match self.probe(code) {
-            CacheProbe::Hit(outcome) | CacheProbe::Resumed(outcome) => outcome,
-            CacheProbe::Miss(key) => {
-                let outcome = score(key);
-                self.record(key, outcome);
-                outcome
-            }
-        }
-    }
-
     /// Looks up `code` without scoring. A journal-replayed verdict promotes
     /// into the live map on first encounter (through the same deterministic
     /// [`admit`] decision the original insert made) and counts as a miss —
@@ -337,10 +323,14 @@ mod tests {
             "module a; endmodule",
             "module b; endmodule",
         ] {
-            let outcome = cache.score_with(code, |_| {
-                scored += 1;
-                Outcome::Pass
-            });
+            let outcome = match cache.probe(code) {
+                CacheProbe::Hit(outcome) | CacheProbe::Resumed(outcome) => outcome,
+                CacheProbe::Miss(key) => {
+                    scored += 1;
+                    cache.record(key, Outcome::Pass);
+                    Outcome::Pass
+                }
+            };
             assert_eq!(outcome, Outcome::Pass);
         }
         assert_eq!(scored, 2, "duplicate must not re-score");
@@ -370,8 +360,6 @@ mod tests {
         // Second encounter: an ordinary hit, as in the uninterrupted run.
         assert_eq!(cache.probe(code), CacheProbe::Hit(Outcome::Pass));
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-        let outcome = cache.score_with(code, |_| panic!("must not re-score a replayed verdict"));
-        assert_eq!(outcome, Outcome::Pass);
     }
 
     #[test]

@@ -4,15 +4,19 @@
 
 use crate::cache::{trial_seed, CacheProbe, CacheStats, ParsedPool, ScoreCache, SharedParse};
 use crate::passk::{mean_pass_at_k, pass_at_k};
-use crate::persist::{run_manifest_key, DurableRun, JournalRecord, RunJournal};
+use crate::persist::{run_manifest_key, DurableRun, JournalRecord, RunJournal, Watchdog};
 use crate::problems::Problem;
 use crate::score::{
-    golden_context, score_shared_with_context_trials, score_with_context_trials, Outcome,
+    golden_context, score_shared_with_context_trials, score_with_context_trials, GoldenContext,
+    Outcome,
 };
+use crate::shared::SharedCache;
 use rayon::prelude::*;
 use rtlb_model::SimLlm;
 use rtlb_sim::FaultKind;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Per-problem evaluation record.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -166,9 +170,11 @@ pub struct EvalConfig {
     pub seed: u64,
     /// Independent stimulus programs simulated per completion (default 1,
     /// the legacy single-trial behaviour). Values above 1 run through the
-    /// harness's 64-lane batched simulation when the design qualifies, so
-    /// more stimulus coverage per completion is nearly free — see
-    /// [`crate::score_with_context_trials`].
+    /// harness's 64-lane batched simulation when the design qualifies, which
+    /// is far cheaper than one scalar run per trial but not free: the
+    /// `eval_grid_stim64` benchmark workload (64 trials) costs about 5× the
+    /// 1-trial `eval_grid` (~0.62 s vs ~0.13 s of reference CPU per sample)
+    /// — see [`crate::score_shared_with_context_trials`].
     pub stimulus_trials: u32,
 }
 
@@ -203,74 +209,16 @@ pub fn problem_base(config: &EvalConfig, pi: usize) -> u64 {
 ///
 /// Per problem, the model's `generate_n` batch retrieves over the compiled
 /// index **once** and replays the `n` trial seeds over the shared candidate
-/// set, the golden design is compiled once, the support/golden modules are
-/// flattened once into the problem's [`crate::GoldenContext`] elaboration
-/// cache (so *distinct* completions share that work too), and duplicate
-/// completions are scored once: each trial's stimulus seed derives from the
-/// problem base seed and the completion's content hash (never the trial
-/// index), so a [`ScoreCache`] replay is bitwise-equal to re-scoring — so a
-/// grid cell costs one retrieval, one golden compile, and one DUT-side
-/// elaboration + simulation per *distinct* completion.
+/// set, the golden design is compiled once into the problem's
+/// [`crate::GoldenContext`], and duplicate completions are scored once:
+/// each trial's stimulus seed derives from the problem base seed and the
+/// completion's content hash (never the trial index), so a [`ScoreCache`]
+/// replay is bitwise-equal to re-scoring — so a grid cell costs one
+/// retrieval, one golden compile, and one DUT-side elaboration + simulation
+/// per *distinct* completion.
 pub fn evaluate_model(model: &SimLlm, problems: &[Problem], config: &EvalConfig) -> EvalReport {
-    // One parsed-completion pool for the whole grid: the candidate pool is
-    // shared across problems, so the same text recurs in many cells and its
-    // interned AST is parsed once and shared behind `Arc` (see
-    // [`ParsedPool`]).
-    let pool = ParsedPool::new();
-    let results: Vec<ProblemResult> = problems
-        .par_iter()
-        .enumerate()
-        .map(|(pi, problem)| {
-            let base = problem_base(config, pi);
-            let completions = model.generate_n(&problem.prompt, config.n as usize, base);
-            // The golden design is identical for every trial: elaborate and
-            // compile it once per problem, not once per candidate — and the
-            // context's elaboration cache lets *distinct* completions share
-            // the support-module flattening too.
-            let ctx = golden_context(problem).ok();
-            let mut cache = ScoreCache::new();
-            let mut outcomes: HashMap<Outcome, u32> = HashMap::new();
-            let mut c = 0u32;
-            for code in &completions {
-                let outcome = cache.score_with(code, |hash| match pool.get_or_parse(code) {
-                    SharedParse::Parsed(file) => score_shared_with_context_trials(
-                        problem,
-                        ctx.as_ref(),
-                        Some(&file),
-                        trial_seed(base, hash),
-                        config.stimulus_trials,
-                    ),
-                    SharedParse::SyntaxFail => score_shared_with_context_trials(
-                        problem,
-                        ctx.as_ref(),
-                        None,
-                        trial_seed(base, hash),
-                        config.stimulus_trials,
-                    ),
-                    SharedParse::Unshared => score_with_context_trials(
-                        problem,
-                        ctx.as_ref(),
-                        code,
-                        trial_seed(base, hash),
-                        config.stimulus_trials,
-                    ),
-                });
-                *outcomes.entry(outcome).or_insert(0) += 1;
-                if outcome.passed() {
-                    c += 1;
-                }
-            }
-            ProblemResult {
-                id: problem.id.clone(),
-                n: config.n,
-                c,
-                outcomes,
-                cache: cache.stats(),
-            }
-        })
-        .collect();
     EvalReport {
-        problems: results,
+        problems: rayon_grid(model, problems, config, &[], None, None),
         n: config.n,
     }
 }
@@ -310,111 +258,206 @@ pub fn evaluate_model_durable(
     config: &EvalConfig,
     run: &DurableRun,
 ) -> std::io::Result<EvalReport> {
-    let run_key = run_manifest_key(model, problems, config);
-    let (journal, replayed, _) = RunJournal::open_or_create(&run.journal_path(run_key), run_key)?;
-
-    // Bucket the replayed verdicts per problem; each grid cell seeds its
-    // cache with its own bucket. Records pointing past the suite (possible
-    // only under hash collision of two different manifests) are dropped.
-    let mut buckets: Vec<HashMap<u64, (Outcome, bool)>> = vec![HashMap::new(); problems.len()];
-    for rec in replayed {
-        if let Some(bucket) = buckets.get_mut(rec.problem as usize) {
-            bucket.insert(rec.completion, (rec.outcome, rec.poisoned));
-        }
-    }
-
-    let pool = ParsedPool::new();
-    let results: Vec<ProblemResult> = problems
-        .par_iter()
-        .enumerate()
-        .map(|(pi, problem)| {
-            let base = problem_base(config, pi);
-            let completions = model.generate_n(&problem.prompt, config.n as usize, base);
-            let ctx = golden_context(problem).ok();
-            let mut cache = ScoreCache::with_resumed(buckets[pi].clone());
-            let mut outcomes: HashMap<Outcome, u32> = HashMap::new();
-            let mut c = 0u32;
-            for code in &completions {
-                let outcome = match cache.probe(code) {
-                    CacheProbe::Hit(outcome) | CacheProbe::Resumed(outcome) => outcome,
-                    CacheProbe::Miss(hash) => {
-                        let score_once = || {
-                            let _deadline = run.watchdog().map(|w| w.watch());
-                            match pool.get_or_parse(code) {
-                                SharedParse::Parsed(file) => score_shared_with_context_trials(
-                                    problem,
-                                    ctx.as_ref(),
-                                    Some(&file),
-                                    trial_seed(base, hash),
-                                    config.stimulus_trials,
-                                ),
-                                SharedParse::SyntaxFail => score_shared_with_context_trials(
-                                    problem,
-                                    ctx.as_ref(),
-                                    None,
-                                    trial_seed(base, hash),
-                                    config.stimulus_trials,
-                                ),
-                                SharedParse::Unshared => score_with_context_trials(
-                                    problem,
-                                    ctx.as_ref(),
-                                    code,
-                                    trial_seed(base, hash),
-                                    config.stimulus_trials,
-                                ),
-                            }
-                        };
-                        let deadline_fault = Outcome::EngineFault {
-                            kind: FaultKind::Deadline,
-                        };
-                        let mut outcome = score_once();
-                        let mut poisoned = false;
-                        if outcome == deadline_fault {
-                            // Retry once with a fresh deadline; a second
-                            // expiry poisons the completion for good.
-                            outcome = score_once();
-                            poisoned = outcome == deadline_fault;
-                        }
-                        if poisoned {
-                            cache.record_poisoned(hash, outcome);
-                        } else {
-                            cache.record(hash, outcome);
-                        }
-                        // Journal real verdicts and durable poison; skip
-                        // transient faults (a resume should re-score those).
-                        // Append failures are swallowed: the journal wounds
-                        // itself and the run continues un-journaled.
-                        if !outcome.is_fault() || poisoned {
-                            let _ = journal.append(&JournalRecord {
-                                problem: pi as u32,
-                                completion: hash,
-                                outcome,
-                                poisoned,
-                            });
-                        }
-                        outcome
-                    }
-                };
-                *outcomes.entry(outcome).or_insert(0) += 1;
-                if outcome.passed() {
-                    c += 1;
-                }
-            }
-            ProblemResult {
-                id: problem.id.clone(),
-                n: config.n,
-                c,
-                outcomes,
-                cache: cache.stats(),
-            }
-        })
-        .collect();
-
+    let (journal, buckets) = open_journal(model, problems, config, run)?;
+    let results = rayon_grid(
+        model,
+        problems,
+        config,
+        &buckets,
+        run.watchdog(),
+        Some(&journal),
+    );
     journal.sync()?;
     Ok(EvalReport {
         problems: results,
         n: config.n,
     })
+}
+
+/// Journal-replayed verdicts of one grid cell: completion hash → verdict
+/// plus the poisoned flag.
+pub(crate) type Resumed = HashMap<u64, (Outcome, bool)>;
+
+/// Opens (or creates) the journal of this grid under `run` and buckets its
+/// replayed verdicts per problem; each grid cell seeds its cache with its
+/// own bucket. Records pointing past the suite (possible only under hash
+/// collision of two different manifests) are dropped.
+pub(crate) fn open_journal(
+    model: &SimLlm,
+    problems: &[Problem],
+    config: &EvalConfig,
+    run: &DurableRun,
+) -> std::io::Result<(RunJournal, Vec<Resumed>)> {
+    let run_key = run_manifest_key(model, problems, config);
+    let (journal, replayed, _) = RunJournal::open_or_create(&run.journal_path(run_key), run_key)?;
+    let mut buckets: Vec<Resumed> = vec![HashMap::new(); problems.len()];
+    for rec in replayed {
+        if let Some(bucket) = buckets.get_mut(rec.problem as usize) {
+            bucket.insert(rec.completion, (rec.outcome, rec.poisoned));
+        }
+    }
+    Ok((journal, buckets))
+}
+
+/// The rayon grid behind [`evaluate_model`] and [`evaluate_model_durable`]:
+/// one parallel task per problem, one parsed-completion pool for the whole
+/// grid (the candidate pool is shared across problems, so the same text
+/// recurs in many cells and its interned AST is parsed once), and each
+/// journal record appended as soon as its cell produces it.
+fn rayon_grid(
+    model: &SimLlm,
+    problems: &[Problem],
+    config: &EvalConfig,
+    buckets: &[Resumed],
+    watchdog: Option<&Watchdog>,
+    journal: Option<&RunJournal>,
+) -> Vec<ProblemResult> {
+    let pool = ParsedPool::new();
+    problems
+        .par_iter()
+        .enumerate()
+        .map(|(pi, problem)| {
+            let base = problem_base(config, pi);
+            let completions = model.generate_n(&problem.prompt, config.n as usize, base);
+            let cell = Cell {
+                problem,
+                pi,
+                config,
+                pool: &pool,
+                tier: None,
+                watchdog,
+            };
+            cell.run(
+                &completions,
+                || golden_context(problem).ok().map(Arc::new),
+                buckets.get(pi).cloned().unwrap_or_default(),
+                |rec| {
+                    if let Some(journal) = journal {
+                        // Append failures wound the journal, never the run.
+                        let _ = journal.append(&rec);
+                    }
+                },
+            )
+        })
+        .collect()
+}
+
+/// One problem's grid cell: everything both schedulers (the rayon grid and
+/// [`crate::EvalService`]) share when they score a cell's completions.
+pub(crate) struct Cell<'a> {
+    pub(crate) problem: &'a Problem,
+    pub(crate) pi: usize,
+    pub(crate) config: &'a EvalConfig,
+    pub(crate) pool: &'a ParsedPool,
+    /// The suite-wide score tier and this cell's [`crate::score_scope`].
+    pub(crate) tier: Option<(&'a SharedCache, u64)>,
+    /// Wall-clock deadline per fresh score, when the run carries one.
+    pub(crate) watchdog: Option<&'a Watchdog>,
+}
+
+impl Cell<'_> {
+    /// Scores `completions` in trial order. Each completion is answered by
+    /// the first of: the cell's [`ScoreCache`] (in-cell duplicates and
+    /// `resumed` journal verdicts), the suite score tier, or a fresh score
+    /// against the golden context that `ctx` supplies (asked for at most
+    /// once, and only when something is actually scored).
+    ///
+    /// A suite-tier replay counts as a cell *miss*, mirroring what an
+    /// uncached run counted when it scored that completion, so cold and
+    /// warm reports are bitwise-equal. A fresh score that blows the
+    /// watchdog deadline is retried once; a second expiry poisons the
+    /// completion. Real verdicts and poison go to `record` for the journal
+    /// (tier replays included: an interrupted run must resume without the
+    /// warm tier); transient faults never do, so a resume re-scores them.
+    pub(crate) fn run(
+        &self,
+        completions: &[String],
+        ctx: impl Fn() -> Option<Arc<GoldenContext>>,
+        resumed: Resumed,
+        mut record: impl FnMut(JournalRecord),
+    ) -> ProblemResult {
+        let base = problem_base(self.config, self.pi);
+        let golden = OnceCell::new();
+        let mut cache = ScoreCache::with_resumed(resumed);
+        let mut outcomes: HashMap<Outcome, u32> = HashMap::new();
+        let mut c = 0u32;
+        for code in completions {
+            let outcome = match cache.probe(code) {
+                CacheProbe::Hit(outcome) | CacheProbe::Resumed(outcome) => outcome,
+                CacheProbe::Miss(hash) => {
+                    let replay = self
+                        .tier
+                        .and_then(|(shared, scope)| shared.lookup_score(scope, hash));
+                    let (outcome, poisoned) = match replay {
+                        Some(outcome) => (outcome, false),
+                        None => {
+                            let ctx = golden.get_or_init(&ctx).as_deref();
+                            let scored = self.score_fresh(ctx, code, trial_seed(base, hash));
+                            if let Some((shared, scope)) = self.tier {
+                                shared.record_score(scope, hash, scored.0);
+                            }
+                            scored
+                        }
+                    };
+                    if poisoned {
+                        cache.record_poisoned(hash, outcome);
+                    } else {
+                        cache.record(hash, outcome);
+                    }
+                    if !outcome.is_fault() || poisoned {
+                        record(JournalRecord {
+                            problem: self.pi as u32,
+                            completion: hash,
+                            outcome,
+                            poisoned,
+                        });
+                    }
+                    outcome
+                }
+            };
+            *outcomes.entry(outcome).or_insert(0) += 1;
+            if outcome.passed() {
+                c += 1;
+            }
+        }
+        ProblemResult {
+            id: self.problem.id.clone(),
+            n: self.config.n,
+            c,
+            outcomes,
+            cache: cache.stats(),
+        }
+    }
+
+    /// Scores one completion under the watchdog deadline, retrying once on
+    /// expiry. Returns the verdict and whether it is poisoned (the retry
+    /// expired too).
+    fn score_fresh(&self, ctx: Option<&GoldenContext>, code: &str, seed: u64) -> (Outcome, bool) {
+        let trials = self.config.stimulus_trials;
+        let score_once = || {
+            let _deadline = self.watchdog.map(Watchdog::watch);
+            match self.pool.get_or_parse(code) {
+                SharedParse::Parsed(file) => {
+                    score_shared_with_context_trials(self.problem, ctx, Some(&file), seed, trials)
+                }
+                SharedParse::SyntaxFail => {
+                    score_shared_with_context_trials(self.problem, ctx, None, seed, trials)
+                }
+                SharedParse::Unshared => {
+                    score_with_context_trials(self.problem, ctx, code, seed, trials)
+                }
+            }
+        };
+        let deadline_fault = Outcome::EngineFault {
+            kind: FaultKind::Deadline,
+        };
+        let outcome = score_once();
+        if outcome != deadline_fault {
+            return (outcome, false);
+        }
+        let retried = score_once();
+        (retried, retried == deadline_fault)
+    }
 }
 
 #[cfg(test)]
@@ -505,7 +548,6 @@ mod tests {
         // content-derived seed. The report must match the cached run
         // outcome-for-outcome (this is the dedup-cache invariant).
         use crate::cache::{completion_hash, trial_seed};
-        use crate::score::score_with_golden;
 
         let corpus = generate_corpus(&CorpusConfig {
             samples_per_design: 6,
@@ -526,11 +568,11 @@ mod tests {
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(pi as u64 * 7919);
             let completions = model.generate_n(&problem.prompt, config.n as usize, base);
-            let golden = crate::score::compile_golden(problem).ok();
+            let ctx = golden_context(problem).ok();
             let mut fresh: HashMap<Outcome, u32> = HashMap::new();
             for code in &completions {
                 let seed = trial_seed(base, completion_hash(code));
-                let outcome = score_with_golden(problem, golden.as_ref(), code, seed);
+                let outcome = score_with_context_trials(problem, ctx.as_ref(), code, seed, 1);
                 *fresh.entry(outcome).or_insert(0) += 1;
             }
             assert_eq!(

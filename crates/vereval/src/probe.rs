@@ -13,7 +13,7 @@
 //! not).
 
 use crate::problems::Problem;
-use crate::score::{golden_context, score_parsed_with_context_trials, GoldenContext, Outcome};
+use crate::score::{golden_context, score_shared_with_context_trials, GoldenContext, Outcome};
 use rtlb_model::SimLlm;
 use rtlb_verilog::ast::SourceFile;
 use rtlb_verilog::parse;
@@ -279,10 +279,10 @@ fn assess(
         match parse(code) {
             Ok(file) => {
                 shapes.push(structure_fingerprint_file(&file));
-                if score_parsed_with_context_trials(
+                if score_shared_with_context_trials(
                     problem,
                     golden,
-                    &file,
+                    Some(&file),
                     seed + 7 + i as u64,
                     stimulus_trials,
                 ) == Outcome::Pass

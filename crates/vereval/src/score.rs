@@ -4,12 +4,11 @@
 
 use crate::problems::Problem;
 use rtlb_sim::{
-    compile, elaborate, random_equivalence_batched, random_equivalence_with_cache, CompiledDesign,
-    ElabCache, FaultKind, FaultScope, FaultSite, SimError, SimResult,
+    compile, elaborate, random_equivalence_batched, CompiledDesign, FaultKind, FaultScope,
+    FaultSite, SimError, SimResult,
 };
-use rtlb_verilog::ast::SourceFile;
-use rtlb_verilog::{check_module, parse, SymbolId};
-use std::collections::HashSet;
+use rtlb_verilog::ast::{Module, SourceFile};
+use rtlb_verilog::{check_module, parse};
 use std::sync::Arc;
 
 /// Verdict for one completion.
@@ -113,58 +112,20 @@ impl serde::Deserialize for Outcome {
     }
 }
 
-/// Runs one completion's scoring inside the fault-containment boundary: a
-/// [`FaultScope`] keyed on the completion seed (so an armed
-/// [`rtlb_sim::FaultPlan`] makes the same deterministic decision for this
-/// completion no matter which thread, engine, or cache path scores it) and a
-/// `catch_unwind` that degrades any panic escaping the engine to
-/// [`Outcome::EngineFault`] instead of killing the grid run.
-fn contained(seed: u64, f: impl FnOnce() -> Outcome) -> Outcome {
-    let _scope = FaultScope::enter(seed);
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(outcome) => outcome,
-        Err(_) => Outcome::EngineFault {
-            kind: FaultKind::Panic,
-        },
-    }
-}
-
-/// Elaborates and compiles a problem's golden design once, for reuse across
-/// every trial of a grid run (the golden model is identical for all trials,
-/// so re-elaborating it per candidate was pure overhead).
-///
-/// # Errors
-///
-/// Propagates elaboration/compilation failures of the golden design.
-pub fn compile_golden(problem: &Problem) -> SimResult<Arc<CompiledDesign>> {
-    let golden = problem.spec.module();
-    let mut library = problem.spec.support_modules();
-    library.push(golden.clone());
-    let design = elaborate(&golden, &library)?;
-    Ok(Arc::new(compile(&design)?))
-}
-
 /// Everything a grid run precomputes once per problem: the compiled golden
-/// design plus an elaboration cache holding the flattened fragments of the
-/// problem's support and golden modules. With the cache, *distinct*
-/// completions share the support-module flattening work — previously only
-/// duplicate completions skipped re-elaboration (via the dedup score cache).
+/// design plus the parsed support-and-golden library, so scoring neither
+/// re-elaborates the golden model nor re-parses the problem sources per
+/// completion.
 #[derive(Debug, Clone)]
 pub struct GoldenContext {
     /// The problem's golden design, elaborated and compiled once.
     pub compiled: Arc<CompiledDesign>,
-    /// Flattened support/golden-module fragments, shared across completions.
-    /// Also holds the parsed support/golden modules, so scoring reuses them
-    /// instead of re-parsing the problem sources per completion.
-    elab_cache: Arc<ElabCache>,
-    /// Names the cache covers; a completion redefining one shadows it, and
-    /// every fragment touching a shadowed name is skipped so the
-    /// completion's own definition wins (shadowing semantics).
-    cached_names: HashSet<SymbolId>,
+    /// The problem's support modules followed by its golden top.
+    library: Vec<Module>,
 }
 
-/// Builds the per-problem scoring context: compiles the golden design and
-/// flattens every support/golden module into the shared [`ElabCache`].
+/// Builds the per-problem scoring context: parses the support and golden
+/// modules and elaborates and compiles the golden design.
 ///
 /// # Errors
 ///
@@ -173,85 +134,23 @@ pub fn golden_context(problem: &Problem) -> SimResult<GoldenContext> {
     let golden = problem.spec.module();
     let mut library = problem.spec.support_modules();
     library.push(golden.clone());
-    let design = elaborate(&golden, &library)?;
-    let compiled = Arc::new(compile(&design)?);
-    let cached_names = library.iter().map(|m| m.name).collect();
-    let elab_cache = Arc::new(ElabCache::new(library));
-    Ok(GoldenContext {
-        compiled,
-        elab_cache,
-        cached_names,
-    })
+    let compiled = Arc::new(compile(&elaborate(&golden, &library)?)?);
+    Ok(GoldenContext { compiled, library })
 }
 
-/// Scores a generated completion against a problem.
+/// Scores a generated completion against a problem with one stimulus trial
+/// and no precomputed context.
 ///
 /// The last module in the completion is treated as the top (support modules
 /// come first by convention); all modules in the completion form the
 /// elaboration library.
 pub fn score_completion(problem: &Problem, code: &str, seed: u64) -> Outcome {
-    score_with_golden(problem, None, code, seed)
+    score_with_context_trials(problem, None, code, seed, 1)
 }
 
-/// Like [`score_completion`], but reusing a golden design precompiled with
-/// [`compile_golden`]. With `None` the golden model is elaborated per call
-/// (the legacy path, kept for one-off scoring).
-pub fn score_with_golden(
-    problem: &Problem,
-    golden: Option<&Arc<CompiledDesign>>,
-    code: &str,
-    seed: u64,
-) -> Outcome {
-    contained(seed, || {
-        if let Err(e) = rtlb_sim::inject(FaultSite::Parse) {
-            return parse_stage_fault(&e);
-        }
-        let Ok(file) = parse(code) else {
-            return Outcome::SyntaxFail;
-        };
-        score_parsed_inner(problem, golden, None, &file, seed, 1)
-    })
-}
-
-/// Maps an injected parse-site error to a verdict: budget exhaustion is an
-/// engine fault, anything else scores exactly like a real parse failure.
-fn parse_stage_fault(e: &SimError) -> Outcome {
-    match e {
-        SimError::Budget { .. } => Outcome::EngineFault {
-            kind: FaultKind::Budget,
-        },
-        SimError::Deadline { .. } => Outcome::EngineFault {
-            kind: FaultKind::Deadline,
-        },
-        _ => Outcome::SyntaxFail,
-    }
-}
-
-/// Like [`score_with_golden`], but reusing a full per-problem
-/// [`GoldenContext`] (compiled golden **and** shared support-module
-/// elaboration cache) — the form the evaluation grid and the rare-word
-/// prober use. With `None` the golden model is elaborated per call.
-pub fn score_with_context(
-    problem: &Problem,
-    ctx: Option<&GoldenContext>,
-    code: &str,
-    seed: u64,
-) -> Outcome {
-    score_with_context_trials(problem, ctx, code, seed, 1)
-}
-
-/// Like [`score_with_context`], but simulating `trials` independent stimulus
-/// programs per completion (seeds derived deterministically from `seed` via
-/// [`stimulus_trial_seed`]) and combining the verdicts: any erroring trial is
-/// an [`Outcome::InterfaceFail`], any diverging trial an
-/// [`Outcome::FunctionalFail`], and only a completion matching the golden
-/// model on *every* trial passes. With `trials <= 1` this is exactly
-/// [`score_with_context`].
-///
-/// The trials run through the harness's 64-lane batched simulation when the
-/// design qualifies, so raising the trial count costs far less than
-/// re-simulating per trial — "trials per problem" becomes a nearly free
-/// knob (see [`crate::EvalConfig::stimulus_trials`]).
+/// Parses `code` and scores it like [`score_shared_with_context_trials`].
+/// The parse runs inside the fault-containment boundary, so even a parser
+/// panic degrades to an [`Outcome::EngineFault`] verdict.
 pub fn score_with_context_trials(
     problem: &Problem,
     ctx: Option<&GoldenContext>,
@@ -259,23 +158,25 @@ pub fn score_with_context_trials(
     seed: u64,
     trials: u32,
 ) -> Outcome {
-    contained(seed, || {
-        if let Err(e) = rtlb_sim::inject(FaultSite::Parse) {
-            return parse_stage_fault(&e);
-        }
-        let Ok(file) = parse(code) else {
-            return Outcome::SyntaxFail;
-        };
-        score_parsed_inner(problem, ctx.map(|c| &c.compiled), ctx, &file, seed, trials)
+    contained(seed, || match parse(code) {
+        Ok(file) => score_file(problem, ctx, &file, seed, trials),
+        Err(_) => Outcome::SyntaxFail,
     })
 }
 
-/// [`score_with_context_trials`] over a pool-shared parse result (see
-/// [`crate::ParsedPool`]): `Some` is the completion's arena'd AST behind
-/// `Arc`, `None` means the text is known not to parse. Observationally equal
-/// to re-parsing inside the call — parsing is deterministic in the text, and
-/// the [`FaultSite::Parse`] injection point still runs inside this call's
-/// own fault scope, so armed fault plans behave identically.
+/// The scoring entry every grid verdict goes through. `parsed` is the
+/// completion's AST (`None` when the text does not parse; see
+/// [`crate::ParsedPool`] for the grid-wide shared parses), `ctx` the
+/// problem's [`GoldenContext`] (built here when `None`).
+///
+/// Scoring simulates `trials` independent stimulus programs (seeds derived
+/// from `seed` via [`stimulus_trial_seed`]) and combines the verdicts: any
+/// erroring trial is an [`Outcome::InterfaceFail`], any diverging trial an
+/// [`Outcome::FunctionalFail`], and only a completion matching the golden
+/// model on *every* trial passes. The trials run through the harness's
+/// 64-lane batched simulation when the design qualifies; that is far
+/// cheaper than one scalar run per trial, but not free (see
+/// [`crate::EvalConfig::stimulus_trials`]).
 pub fn score_shared_with_context_trials(
     problem: &Problem,
     ctx: Option<&GoldenContext>,
@@ -283,15 +184,45 @@ pub fn score_shared_with_context_trials(
     seed: u64,
     trials: u32,
 ) -> Outcome {
-    contained(seed, || {
-        if let Err(e) = rtlb_sim::inject(FaultSite::Parse) {
-            return parse_stage_fault(&e);
-        }
-        let Some(file) = parsed else {
-            return Outcome::SyntaxFail;
-        };
-        score_parsed_inner(problem, ctx.map(|c| &c.compiled), ctx, file, seed, trials)
+    contained(seed, || match parsed {
+        Some(file) => score_file(problem, ctx, file, seed, trials),
+        None => Outcome::SyntaxFail,
     })
+}
+
+/// Runs one completion's scoring inside the fault-containment boundary: a
+/// [`FaultScope`] keyed on the completion seed (so an armed
+/// [`rtlb_sim::FaultPlan`] makes the same deterministic decision for this
+/// completion no matter which thread, engine, or cache path scores it), the
+/// [`FaultSite::Parse`] hook, and a `catch_unwind` that degrades any panic
+/// escaping the engine to [`Outcome::EngineFault`] instead of killing the
+/// grid run.
+fn contained(seed: u64, score: impl FnOnce() -> Outcome) -> Outcome {
+    let _scope = FaultScope::enter(seed);
+    let scored =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            match rtlb_sim::inject(FaultSite::Parse) {
+                Ok(()) => score(),
+                Err(e) => fault_or(&e, Outcome::SyntaxFail),
+            }
+        }));
+    scored.unwrap_or(Outcome::EngineFault {
+        kind: FaultKind::Panic,
+    })
+}
+
+/// Maps a scoring-stage error to a verdict: an exhausted budget or deadline
+/// is an engine fault, anything else scores as `otherwise`.
+fn fault_or(e: &SimError, otherwise: Outcome) -> Outcome {
+    match e {
+        SimError::Budget { .. } => Outcome::EngineFault {
+            kind: FaultKind::Budget,
+        },
+        SimError::Deadline { .. } => Outcome::EngineFault {
+            kind: FaultKind::Deadline,
+        },
+        _ => otherwise,
+    }
 }
 
 /// Derives the stimulus seed for trial `t` of a completion whose first-trial
@@ -306,52 +237,10 @@ pub fn stimulus_trial_seed(seed: u64, t: u32) -> u64 {
     }
 }
 
-/// Scores an already-parsed completion, so callers that also inspect the AST
-/// (the rare-word prober's structural fingerprints) parse each completion
-/// exactly once.
-pub fn score_parsed(
+/// Judges one parsed completion: the syntax-stage check, then simulation
+/// against the golden model of `ctx` (built here when `None`).
+fn score_file(
     problem: &Problem,
-    golden: Option<&Arc<CompiledDesign>>,
-    file: &SourceFile,
-    seed: u64,
-) -> Outcome {
-    contained(seed, || {
-        score_parsed_inner(problem, golden, None, file, seed, 1)
-    })
-}
-
-/// [`score_parsed`] with the per-problem [`GoldenContext`], so the
-/// completion's elaboration replays the cached support/golden fragments
-/// instead of re-flattening them.
-pub fn score_parsed_with_context(
-    problem: &Problem,
-    ctx: Option<&GoldenContext>,
-    file: &SourceFile,
-    seed: u64,
-) -> Outcome {
-    contained(seed, || {
-        score_parsed_inner(problem, ctx.map(|c| &c.compiled), ctx, file, seed, 1)
-    })
-}
-
-/// [`score_parsed_with_context`] with `trials` independent stimulus programs
-/// per completion, batched through the 64-lane simulator when the design
-/// qualifies — the parsed-input form of [`score_with_context_trials`].
-pub fn score_parsed_with_context_trials(
-    problem: &Problem,
-    ctx: Option<&GoldenContext>,
-    file: &SourceFile,
-    seed: u64,
-    trials: u32,
-) -> Outcome {
-    contained(seed, || {
-        score_parsed_inner(problem, ctx.map(|c| &c.compiled), ctx, file, seed, trials)
-    })
-}
-
-fn score_parsed_inner(
-    problem: &Problem,
-    golden: Option<&Arc<CompiledDesign>>,
     ctx: Option<&GoldenContext>,
     file: &SourceFile,
     seed: u64,
@@ -365,129 +254,44 @@ fn score_parsed_inner(
         _ => return Outcome::SyntaxFail,
     }
 
-    // The DUT's elaboration library lists the completion's own modules
-    // FIRST: elaboration takes the first name match, so a completion that
-    // redefines a support helper (even incorrectly) must be simulated with
-    // its own definition, not silently patched by the golden library. The
-    // problem's support modules and golden top are appended only under
-    // names the completion did not define.
-    let defined: HashSet<&str> = file.modules.iter().map(|m| m.name.as_str()).collect();
-
-    // The shared elaboration cache is only sound while library resolution
-    // would pick the cached definitions: names the completion redefines are
-    // declared as shadowed, so every fragment touching one is skipped and
-    // the completion's own (possibly broken) definition wins — while
-    // fragments the completion leaves alone still replay. A completion
-    // normally redefines exactly the problem's top-module name, which no
-    // support fragment depends on.
-    let shadowed: HashSet<SymbolId> = ctx
-        .map(|c| {
-            file.modules
-                .iter()
-                .map(|m| m.name)
-                .filter(|d| c.cached_names.contains(d))
-                .collect()
-        })
-        .unwrap_or_default();
-    let elab_cache = ctx.map(|c| c.elab_cache.view_shadowing(&shadowed));
-
-    let mut library: Vec<_> = file.modules.to_vec();
-    match ctx {
-        // The context already holds the parsed support/golden modules (in
-        // support-then-golden order): reuse them instead of re-parsing the
-        // problem sources for every completion.
-        Some(c) => {
-            for m in c.elab_cache.modules() {
-                if !defined.contains(m.name.as_str()) {
-                    library.push(m.clone());
-                }
+    // The golden model elaborates against its own support library only —
+    // never against completion modules. Without a precomputed context,
+    // build one the same way the grid does.
+    let built;
+    let ctx = match ctx {
+        Some(c) => c,
+        None => match golden_context(problem) {
+            Ok(c) => {
+                built = c;
+                &built
             }
-        }
-        None => {
-            for support in problem.spec.support_modules() {
-                if !defined.contains(support.name.as_str()) {
-                    library.push(support);
-                }
-            }
-            let golden_module = problem.spec.module();
-            if !defined.contains(golden_module.name.as_str()) {
-                library.push(golden_module);
-            }
-        }
-    }
-
-    // The golden model, by contrast, must elaborate against its own support
-    // library only — never against completion modules. Without a
-    // precompiled golden, build one the same way the grid does.
-    let compiled_golden_owned;
-    let compiled_golden = match golden {
-        Some(compiled) => compiled,
-        None => match compile_golden(problem) {
-            Ok(compiled) => {
-                compiled_golden_owned = compiled;
-                &compiled_golden_owned
-            }
-            Err(SimError::Budget { .. }) => {
-                return Outcome::EngineFault {
-                    kind: FaultKind::Budget,
-                }
-            }
-            Err(SimError::Deadline { .. }) => {
-                return Outcome::EngineFault {
-                    kind: FaultKind::Deadline,
-                }
-            }
-            Err(_) => return Outcome::InterfaceFail,
+            Err(e) => return fault_or(&e, Outcome::InterfaceFail),
         },
     };
 
-    let io = problem.io_spec();
-    if trials <= 1 {
-        let result = random_equivalence_with_cache(
-            dut,
-            compiled_golden,
-            &library,
-            &io,
-            problem.cycles,
-            seed,
-            elab_cache,
-        );
-        return match result {
-            Ok(report) if report.passed() => Outcome::Pass,
-            Ok(_) => Outcome::FunctionalFail,
-            Err(SimError::Budget { .. }) => Outcome::EngineFault {
-                kind: FaultKind::Budget,
-            },
-            Err(SimError::Deadline { .. }) => Outcome::EngineFault {
-                kind: FaultKind::Deadline,
-            },
-            Err(_) => Outcome::InterfaceFail,
-        };
+    // The DUT's elaboration library lists the completion's own modules
+    // FIRST: elaboration takes the first name match, so a completion that
+    // redefines a support helper (even incorrectly) is simulated with its
+    // own definition, not silently patched by the golden library. Problem
+    // modules the completion redefines could never resolve, so they are
+    // not copied.
+    let mut library: Vec<Module> = file.modules.to_vec();
+    for m in &ctx.library {
+        if !file.modules.iter().any(|d| d.name == m.name) {
+            library.push(m.clone());
+        }
     }
-    // Multi-trial: one batched run over all derived seeds (the harness packs
-    // up to 64 trials into one lane-parallel sweep when the design
-    // qualifies). Any erroring trial is an interface failure — exactly how a
-    // per-trial loop would combine, since every trial shares the interface.
-    let seeds: Vec<u64> = (0..trials).map(|t| stimulus_trial_seed(seed, t)).collect();
-    let result = random_equivalence_batched(
-        dut,
-        compiled_golden,
-        &library,
-        &io,
-        problem.cycles,
-        &seeds,
-        elab_cache,
-    );
-    match result {
+
+    // Any erroring trial is an interface failure — every trial shares the
+    // interface.
+    let seeds: Vec<u64> = (0..trials.max(1))
+        .map(|t| stimulus_trial_seed(seed, t))
+        .collect();
+    let io = problem.io_spec();
+    match random_equivalence_batched(dut, &ctx.compiled, &library, &io, problem.cycles, &seeds) {
         Ok(reports) if reports.iter().all(|r| r.passed()) => Outcome::Pass,
         Ok(_) => Outcome::FunctionalFail,
-        Err(SimError::Budget { .. }) => Outcome::EngineFault {
-            kind: FaultKind::Budget,
-        },
-        Err(SimError::Deadline { .. }) => Outcome::EngineFault {
-            kind: FaultKind::Deadline,
-        },
-        Err(_) => Outcome::InterfaceFail,
+        Err(e) => fault_or(&e, Outcome::InterfaceFail),
     }
 }
 
@@ -584,18 +388,17 @@ mod tests {
 
     #[test]
     fn context_scoring_matches_legacy_scoring() {
-        // The shared elaboration cache must be invisible to outcomes: every
-        // verdict through the context path equals the uncached path.
+        // A precomputed context must be invisible to outcomes: every verdict
+        // through it equals scoring that builds the context per call.
         for p in family_suite("adder") {
             let ctx = golden_context(&p).expect("context builds");
-            let golden = compile_golden(&p).expect("golden compiles");
             let wrong = "module adder_4bit(input [3:0] a, input [3:0] b, output [3:0] sum, output carry_out);\n\
                          assign {carry_out, sum} = a - b;\nendmodule"
                 .to_owned();
             for code in [p.spec.full_source(), wrong, "module broken(".to_owned()] {
                 assert_eq!(
-                    score_with_context(&p, Some(&ctx), &code, 9),
-                    score_with_golden(&p, Some(&golden), &code, 9),
+                    score_with_context_trials(&p, Some(&ctx), &code, 9, 1),
+                    score_completion(&p, &code, 9),
                     "context vs legacy diverged on {}",
                     p.id
                 );
@@ -605,9 +408,8 @@ mod tests {
 
     #[test]
     fn context_scoring_respects_support_module_shadowing() {
-        // A completion redefining a support module must bypass the fragment
-        // cache: its own broken helper has to be simulated, exactly as the
-        // uncached path guarantees.
+        // A completion redefining a support module must be simulated with
+        // its own broken helper through the context path too.
         let p = family_suite("adder")
             .into_iter()
             .find(|p| p.id == "adder4_ripple")
@@ -622,12 +424,12 @@ mod tests {
              endmodule\n";
         let completion = format!("{broken_helper}\n{}", p.spec.source);
         assert_eq!(
-            score_with_context(&p, Some(&ctx), &completion, 1),
+            score_with_context_trials(&p, Some(&ctx), &completion, 1, 1),
             Outcome::FunctionalFail,
-            "cached scoring must not patch a shadowed helper"
+            "context scoring must not patch a shadowed helper"
         );
         assert_eq!(
-            score_with_context(&p, Some(&ctx), &p.spec.full_source(), 1),
+            score_with_context_trials(&p, Some(&ctx), &p.spec.full_source(), 1, 1),
             Outcome::Pass
         );
     }

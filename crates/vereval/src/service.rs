@@ -25,17 +25,18 @@
 //! pins both, plus cold ≡ warm across a persistent store.
 //!
 //! Durable grids journal through the same [`RunJournal`] format and
-//! [`run_manifest_key`] as [`crate::evaluate_model_durable`], so a run
+//! [`crate::run_manifest_key`] as [`crate::evaluate_model_durable`], so a run
 //! started under the service can be resumed by the plain durable grid and
 //! vice versa. The committer appends records strictly in problem order —
 //! stronger than the rayon grid's nondeterministic append order — which is
 //! what makes journal bytes reproducible across worker counts.
 
-use crate::cache::{trial_seed, CacheProbe, ScoreCache, SharedParse};
-use crate::eval::{problem_base, EvalConfig, EvalReport, ProblemResult};
-use crate::persist::{run_manifest_key, DurableRun, JournalRecord, RunJournal};
+use crate::eval::{
+    open_journal, problem_base, Cell, EvalConfig, EvalReport, ProblemResult, Resumed,
+};
+use crate::persist::{DurableRun, JournalRecord, RunJournal};
 use crate::problems::Problem;
-use crate::score::{score_shared_with_context_trials, score_with_context_trials, Outcome};
+use crate::score::Outcome;
 use crate::shared::{score_scope, SharedCache, TierStats};
 use rtlb_model::SimLlm;
 use rtlb_sim::FaultKind;
@@ -74,7 +75,7 @@ enum Job {
         problem: Arc<Problem>,
         config: EvalConfig,
         pi: usize,
-        resumed: HashMap<u64, (Outcome, bool)>,
+        resumed: Resumed,
         run: Option<Arc<DurableRun>>,
         reply: mpsc::Sender<CellDone>,
     },
@@ -107,7 +108,7 @@ fn run_job(shared: &SharedCache, job: Job) {
             run,
             reply,
         } => {
-            let done = run_cell(
+            let done = cell_job(
                 shared,
                 &model,
                 &problem,
@@ -125,7 +126,7 @@ fn run_job(shared: &SharedCache, job: Job) {
             code,
             reply,
         } => {
-            let _ = reply.send(score_one(shared, &problem, &config, pi, &code));
+            let _ = reply.send(score_one(shared, &problem, &config, pi, code));
         }
         Job::Generate {
             model,
@@ -139,160 +140,73 @@ fn run_job(shared: &SharedCache, job: Job) {
     }
 }
 
-/// Scores one grid cell exactly as the serial grid does, with every cache
-/// consultation routed through the suite-wide tiers. Per-cell
-/// [`ScoreCache`] counters keep the serial semantics (a suite-tier replay
-/// counts as a cell *miss*, mirroring what an uncached run counted when it
-/// scored that completion), so cold and warm reports are bitwise-equal.
-fn run_cell(
+/// Scores one grid cell through the suite-wide tiers: generation, golden
+/// context and parse come from `shared`, and every cache miss consults the
+/// score tier before scoring. The cell's journal records are buffered for
+/// the in-order committer.
+fn cell_job(
     shared: &SharedCache,
     model: &SimLlm,
     problem: &Problem,
     config: &EvalConfig,
     pi: usize,
-    resumed: HashMap<u64, (Outcome, bool)>,
+    resumed: Resumed,
     run: Option<&DurableRun>,
 ) -> CellDone {
     let base = problem_base(config, pi);
     let completions = shared.generate(model, &problem.prompt, config.n as usize, base);
     let ctx = shared.context(problem);
-    let scope = score_scope(problem, config, pi);
-    let mut cache = ScoreCache::with_resumed(resumed);
-    let mut outcomes: HashMap<Outcome, u32> = HashMap::new();
-    let mut c = 0u32;
     let mut records = Vec::new();
-    for code in completions.iter() {
-        let outcome = match cache.probe(code) {
-            CacheProbe::Hit(outcome) | CacheProbe::Resumed(outcome) => outcome,
-            CacheProbe::Miss(hash) => {
-                let (outcome, poisoned, fresh) = match shared.lookup_score(scope, hash) {
-                    // Suite-tier replay: bitwise-equal to re-scoring (the
-                    // tier never admits faults, and stimulus seeds derive
-                    // from content). From the journal's point of view this
-                    // verdict is fresh — an interrupted run must be able to
-                    // resume it without the warm store.
-                    Some(outcome) => {
-                        cache.record(hash, outcome);
-                        (outcome, false, true)
-                    }
-                    None => {
-                        let score_once = || {
-                            let _deadline = run.and_then(|r| r.watchdog()).map(|w| w.watch());
-                            match shared.parsed(code) {
-                                SharedParse::Parsed(file) => score_shared_with_context_trials(
-                                    problem,
-                                    ctx.as_deref(),
-                                    Some(&file),
-                                    trial_seed(base, hash),
-                                    config.stimulus_trials,
-                                ),
-                                SharedParse::SyntaxFail => score_shared_with_context_trials(
-                                    problem,
-                                    ctx.as_deref(),
-                                    None,
-                                    trial_seed(base, hash),
-                                    config.stimulus_trials,
-                                ),
-                                SharedParse::Unshared => score_with_context_trials(
-                                    problem,
-                                    ctx.as_deref(),
-                                    code,
-                                    trial_seed(base, hash),
-                                    config.stimulus_trials,
-                                ),
-                            }
-                        };
-                        let deadline_fault = Outcome::EngineFault {
-                            kind: FaultKind::Deadline,
-                        };
-                        let mut outcome = score_once();
-                        let mut poisoned = false;
-                        if outcome == deadline_fault {
-                            outcome = score_once();
-                            poisoned = outcome == deadline_fault;
-                        }
-                        if poisoned {
-                            cache.record_poisoned(hash, outcome);
-                        } else {
-                            cache.record(hash, outcome);
-                        }
-                        // Publish to the suite tier (faults are quarantined
-                        // inside `record_score`).
-                        shared.record_score(scope, hash, outcome);
-                        (outcome, poisoned, true)
-                    }
-                };
-                // Same journaling rule as the durable grid: real verdicts
-                // and durable poison, never transient faults.
-                if fresh && (!outcome.is_fault() || poisoned) {
-                    records.push(JournalRecord {
-                        problem: pi as u32,
-                        completion: hash,
-                        outcome,
-                        poisoned,
-                    });
-                }
-                outcome
-            }
-        };
-        *outcomes.entry(outcome).or_insert(0) += 1;
-        if outcome.passed() {
-            c += 1;
-        }
-    }
+    let result = tiered_cell(shared, problem, config, pi, run).run(
+        &completions,
+        || ctx.clone(),
+        resumed,
+        |rec| records.push(rec),
+    );
     CellDone {
         pi,
-        result: ProblemResult {
-            id: problem.id.clone(),
-            n: config.n,
-            c,
-            outcomes,
-            cache: cache.stats(),
-        },
+        result,
         records,
     }
 }
 
-/// Scores one standalone completion through the suite tiers.
+/// Scores one standalone completion through the suite tiers: a one-trial
+/// cell whose golden context is only fetched on a score-tier miss.
 fn score_one(
     shared: &SharedCache,
     problem: &Problem,
     config: &EvalConfig,
     pi: usize,
-    code: &str,
+    code: String,
 ) -> Outcome {
-    let base = problem_base(config, pi);
-    let scope = score_scope(problem, config, pi);
-    let hash = crate::cache::completion_hash(code);
-    if let Some(outcome) = shared.lookup_score(scope, hash) {
-        return outcome;
+    let result = tiered_cell(shared, problem, config, pi, None).run(
+        &[code],
+        || shared.context(problem),
+        Resumed::new(),
+        |_| {},
+    );
+    // One completion in, exactly one verdict out.
+    let verdict = result.outcomes.into_keys().next();
+    verdict.unwrap_or(Outcome::EngineFault {
+        kind: FaultKind::Panic,
+    })
+}
+
+fn tiered_cell<'a>(
+    shared: &'a SharedCache,
+    problem: &'a Problem,
+    config: &'a EvalConfig,
+    pi: usize,
+    run: Option<&'a DurableRun>,
+) -> Cell<'a> {
+    Cell {
+        problem,
+        pi,
+        config,
+        pool: shared.pool(),
+        tier: Some((shared, score_scope(problem, config, pi))),
+        watchdog: run.and_then(DurableRun::watchdog),
     }
-    let ctx = shared.context(problem);
-    let outcome = match shared.parsed(code) {
-        SharedParse::Parsed(file) => score_shared_with_context_trials(
-            problem,
-            ctx.as_deref(),
-            Some(&file),
-            trial_seed(base, hash),
-            config.stimulus_trials,
-        ),
-        SharedParse::SyntaxFail => score_shared_with_context_trials(
-            problem,
-            ctx.as_deref(),
-            None,
-            trial_seed(base, hash),
-            config.stimulus_trials,
-        ),
-        SharedParse::Unshared => score_with_context_trials(
-            problem,
-            ctx.as_deref(),
-            code,
-            trial_seed(base, hash),
-            config.stimulus_trials,
-        ),
-    };
-    shared.record_score(scope, hash, outcome);
-    outcome
 }
 
 /// A persistent evaluation service: worker threads over one job queue and
@@ -409,7 +323,7 @@ impl EvalService {
             reply: tx,
         });
         rx.recv()
-            .unwrap_or_else(|_| score_one(&self.shared, problem, config, pi, code))
+            .unwrap_or_else(|_| score_one(&self.shared, problem, config, pi, code.to_owned()))
     }
 
     /// Evaluates the grid sharded across the worker pool, streaming each
@@ -437,7 +351,7 @@ impl EvalService {
 
     /// [`EvalService::eval_suite`] with crash-safety: fresh verdicts are
     /// journaled under `run` exactly as [`crate::evaluate_model_durable`]
-    /// journals them (same format, same [`run_manifest_key`]), but in
+    /// journals them (same format, same [`crate::run_manifest_key`]), but in
     /// **canonical suite order** — so the journal bytes are identical
     /// across worker counts, and a service run and a plain durable grid
     /// run resume each other freely.
@@ -454,15 +368,7 @@ impl EvalService {
         run: &Arc<DurableRun>,
         sink: impl FnMut(&ProblemResult),
     ) -> io::Result<ServiceReport> {
-        let run_key = run_manifest_key(model, problems, config);
-        let (journal, replayed, _) =
-            RunJournal::open_or_create(&run.journal_path(run_key), run_key)?;
-        let mut buckets: Vec<HashMap<u64, (Outcome, bool)>> = vec![HashMap::new(); problems.len()];
-        for rec in replayed {
-            if let Some(bucket) = buckets.get_mut(rec.problem as usize) {
-                bucket.insert(rec.completion, (rec.outcome, rec.poisoned));
-            }
-        }
+        let (journal, buckets) = open_journal(model, problems, config, run)?;
         let results = self.run_grid(
             model,
             problems,
@@ -497,7 +403,7 @@ impl EvalService {
         config: &EvalConfig,
         run: Option<&Arc<DurableRun>>,
         journal: Option<&RunJournal>,
-        buckets: Vec<HashMap<u64, (Outcome, bool)>>,
+        buckets: Vec<Resumed>,
         mut sink: impl FnMut(&ProblemResult),
     ) -> Vec<ProblemResult> {
         let shared_model = Arc::new(model.clone());
@@ -552,7 +458,7 @@ impl EvalService {
             .collect();
         for pi in holes {
             if let Some(problem) = problems.get(pi) {
-                let done = run_cell(
+                let done = cell_job(
                     &self.shared,
                     model,
                     problem,

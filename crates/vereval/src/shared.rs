@@ -1,7 +1,7 @@
 //! The suite-wide shared cache: every per-process cache fragment —
 //! score dedup ([`crate::ScoreCache`]), parsed completions
-//! ([`crate::ParsedPool`]), golden contexts (compiled designs + elab
-//! fragments), and model generations (keyed by the model's fingerprint) —
+//! ([`crate::ParsedPool`]), golden contexts (compiled golden designs plus
+//! parsed support libraries), and model generations (keyed by the model's fingerprint) —
 //! unified behind **one content-addressed key space**, optionally backed by
 //! the checksummed [`PersistStore`] so scores and generations survive across
 //! runs and processes.
@@ -51,7 +51,8 @@ pub struct TierStats {
     pub score: CacheStats,
     /// Parsed-completion pool.
     pub parse: CacheStats,
-    /// Golden contexts (compile + elab-fragment cache per problem content).
+    /// Golden contexts (compiled golden design + parsed support library per
+    /// problem content).
     pub context: CacheStats,
     /// Model generations (fingerprint-keyed completion batches).
     pub generate: CacheStats,
@@ -298,9 +299,14 @@ impl SharedCache {
         self.pool.get_or_parse(code)
     }
 
+    /// The parse tier's pool itself, for the grid-cell routine.
+    pub(crate) fn pool(&self) -> &ParsedPool {
+        &self.pool
+    }
+
     // -- context tier -------------------------------------------------------
 
-    /// The problem's golden context (compiled design + elab-fragment cache),
+    /// The problem's golden context (compiled design + parsed library),
     /// built exactly once per problem *content* — concurrent workers block
     /// on the builder instead of compiling twice. `None` replays a golden
     /// build failure deterministically.

@@ -1,11 +1,10 @@
 //! Whole-suite batched-vs-scalar scoring parity: multi-trial scoring through
 //! the 64-lane batched harness must combine to exactly the verdict a
 //! per-trial scalar loop over the same derived seeds produces, and
-//! single-trial scoring must be bit-for-bit the legacy path.
+//! single-trial scoring must be bit-for-bit the scalar harness oracle.
 
 use rtlb_vereval::{
-    golden_context, problem_suite, score_with_context, score_with_context_trials,
-    stimulus_trial_seed, Outcome,
+    golden_context, problem_suite, score_with_context_trials, stimulus_trial_seed, Outcome,
 };
 
 /// Per-trial scalar combination: the semantics `score_with_context_trials`
@@ -20,7 +19,8 @@ fn combined_scalar(
 ) -> Outcome {
     let mut worst = Outcome::Pass;
     for t in 0..trials {
-        let o = score_with_context(problem, Some(ctx), code, stimulus_trial_seed(seed, t));
+        let o =
+            score_with_context_trials(problem, Some(ctx), code, stimulus_trial_seed(seed, t), 1);
         worst = match (worst, o) {
             // No fault plan is armed in this test, so engine faults cannot
             // occur; treat one as worst if it ever does.
@@ -74,10 +74,25 @@ fn single_trial_scoring_is_bitwise_legacy() {
     for problem in problem_suite() {
         let ctx = golden_context(&problem).expect("golden context builds");
         let code = problem.spec.full_source();
+        let file = rtlb_verilog::parse(&code).expect("golden source parses");
+        let dut = file.modules.last().expect("golden source has a top");
         for seed in [1u64, 77, 0xFFFF_FFFF_0000_0001] {
+            let scalar = rtlb_sim::random_equivalence_with(
+                dut,
+                &ctx.compiled,
+                &file.modules,
+                &problem.io_spec(),
+                problem.cycles,
+                seed,
+            );
+            let legacy = match scalar {
+                Ok(report) if report.passed() => Outcome::Pass,
+                Ok(_) => Outcome::FunctionalFail,
+                Err(_) => Outcome::InterfaceFail,
+            };
             assert_eq!(
                 score_with_context_trials(&problem, Some(&ctx), &code, seed, 1),
-                score_with_context(&problem, Some(&ctx), &code, seed),
+                legacy,
                 "{}: trials = 1 must replay the legacy path exactly",
                 problem.id
             );

@@ -17,8 +17,8 @@ use rtlb_model::SimLlm;
 use rtlb_sim::FaultKind;
 use rtlb_vereval::{
     completion_hash, evaluate_model, evaluate_model_durable, mini_suite, problem_base,
-    problem_suite, run_manifest_key, with_persist_plan, DurableRun, EvalConfig, JournalRecord,
-    Outcome, PersistPlan, PersistSite, Problem, RunJournal,
+    problem_suite, run_manifest_key, with_persist_plan, DurableRun, EvalConfig, EvalReport,
+    EvalService, JournalRecord, Outcome, PersistPlan, PersistSite, Problem, RunJournal,
 };
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -149,6 +149,10 @@ fn persist_site_chaos_degrades_but_never_diverges() {
     }
 }
 
+/// A durable grid scheduler under test: resumes `run`'s journal and
+/// returns the report.
+type Resume = fn(&SimLlm, &[Problem], &EvalConfig, &Arc<DurableRun>) -> EvalReport;
+
 #[test]
 fn poisoned_journal_entries_are_replayed_not_rescored() {
     let model = model();
@@ -164,41 +168,55 @@ fn poisoned_journal_entries_are_replayed_not_rescored() {
             .first()
             .expect("at least one completion"),
     );
-    let dir = temp_dir("poison");
-    let run = DurableRun::open(&dir).expect("run dir");
     let key = run_manifest_key(&model, &problems, &cfg);
-    {
-        let (journal, _, _) =
-            RunJournal::open_or_create(&run.journal_path(key), key).expect("fresh journal");
-        journal
-            .append(&JournalRecord {
-                problem: 0,
-                completion: target,
-                outcome: Outcome::EngineFault {
-                    kind: FaultKind::Deadline,
-                },
-                poisoned: true,
-            })
-            .expect("append poison");
-    }
+    // Both schedulers share the deadline/poison code; pin it on each.
+    let schedulers: [(&str, Resume); 2] = [
+        ("rayon", |m, p, c, run| {
+            evaluate_model_durable(m, p, c, run).expect("resume")
+        }),
+        ("service", |m, p, c, run| {
+            EvalService::new(2)
+                .eval_suite_durable(m, p, c, run, |_| {})
+                .expect("resume")
+                .report
+        }),
+    ];
+    for (name, resume) in schedulers {
+        let dir = temp_dir(&format!("poison_{name}"));
+        let run = Arc::new(DurableRun::open(&dir).expect("run dir"));
+        {
+            let (journal, _, _) =
+                RunJournal::open_or_create(&run.journal_path(key), key).expect("fresh journal");
+            journal
+                .append(&JournalRecord {
+                    problem: 0,
+                    completion: target,
+                    outcome: Outcome::EngineFault {
+                        kind: FaultKind::Deadline,
+                    },
+                    poisoned: true,
+                })
+                .expect("append poison");
+        }
 
-    let report = evaluate_model_durable(&model, &problems, &cfg, &run).expect("resume");
-    let poisoned_trials = report.problems[0]
-        .outcomes
-        .get(&Outcome::EngineFault {
-            kind: FaultKind::Deadline,
-        })
-        .copied()
-        .unwrap_or(0);
-    assert!(
-        poisoned_trials >= 1,
-        "the poisoned completion must replay its durable fault verdict"
-    );
-    // Every other problem is untouched by the poison.
-    for (p, t) in report.problems.iter().zip(&truth.problems).skip(1) {
-        assert_eq!(p, t, "poison must stay confined to its completion");
+        let report = resume(&model, &problems, &cfg, &run);
+        let poisoned_trials = report.problems[0]
+            .outcomes
+            .get(&Outcome::EngineFault {
+                kind: FaultKind::Deadline,
+            })
+            .copied()
+            .unwrap_or(0);
+        assert!(
+            poisoned_trials >= 1,
+            "{name}: the poisoned completion must replay its durable fault verdict"
+        );
+        // Every other problem is untouched by the poison.
+        for (p, t) in report.problems.iter().zip(&truth.problems).skip(1) {
+            assert_eq!(p, t, "{name}: poison must stay confined to its completion");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -18,9 +18,8 @@ use rtlb_sim::{
     silence_injected_panics, with_plan, without_plan, Budget, BudgetScope, FaultPlan, FaultSite,
 };
 use rtlb_vereval::{
-    compile_golden, completion_hash, evaluate_model, golden_context, mini_suite, problem_suite,
-    score_completion, score_with_context_trials, score_with_golden, trial_seed, EvalConfig,
-    FaultKind, Outcome, Problem,
+    completion_hash, evaluate_model, golden_context, mini_suite, problem_suite, score_completion,
+    score_with_context_trials, trial_seed, EvalConfig, FaultKind, Outcome, Problem,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -188,8 +187,8 @@ fn cached_and_uncached_scoring_degrade_identically() {
     let problems = suite();
     let cfg = eval_cfg();
     let plan = FaultPlan::new(0xCAC4_E5EED, 3);
-    // The cached grid run: golden contexts, shared elaboration fragments,
-    // dedup score cache.
+    // The cached grid run: golden contexts, shared parses, dedup score
+    // cache.
     let report = with_plan(plan, || evaluate_model(&model, &problems, &cfg));
     // The uncached reference: same completions, same content-derived seeds,
     // no caches anywhere — under the same plan.
@@ -200,11 +199,11 @@ fn cached_and_uncached_scoring_degrade_identically() {
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(pi as u64 * 7919);
             let completions = model.generate_n(&problem.prompt, cfg.n as usize, base);
-            let golden = compile_golden(problem).ok();
+            let ctx = golden_context(problem).ok();
             let mut fresh: HashMap<Outcome, u32> = HashMap::new();
             for code in &completions {
                 let seed = trial_seed(base, completion_hash(code));
-                let outcome = score_with_golden(problem, golden.as_ref(), code, seed);
+                let outcome = score_with_context_trials(problem, ctx.as_ref(), code, seed, 1);
                 *fresh.entry(outcome).or_insert(0) += 1;
             }
             assert_eq!(

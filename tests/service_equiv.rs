@@ -216,7 +216,7 @@ fn cache_insert_chaos_never_changes_a_verdict() {
     let truth = evaluate_model(&model, &problems, &cfg);
 
     // Cache-insert vetoes only skip memoization across every unified tier
-    // (score map, parse pool, leaf-fragment registry, persisted promotion);
+    // (score map, parse pool, persisted promotion);
     // the re-scored work is bitwise-equal, so the report must not move.
     for seed in [0xCAC4_E001u64, 0xCAC4_E002, 0xCAC4_E003] {
         let plan = FaultPlan::only_site(seed, 1, FaultSite::CacheInsert);
