@@ -31,8 +31,8 @@ use rtlb_corpus::families::all_designs;
 use rtlb_corpus::{generate_corpus, CorpusConfig};
 use rtlb_model::{ModelConfig, SimLlm};
 use rtlb_sim::{
-    elaborate, inject, silence_injected_panics, with_plan, without_plan, Design, FaultPlan,
-    FaultSite, Fuel, Simulator,
+    elaborate, inject, silence_injected_panics, with_plan, Design, FaultPlan, FaultSite, Fuel,
+    Simulator,
 };
 use rtlb_vereval::{
     completion_hash, evaluate_model, evaluate_model_durable, family_suite, problem_suite,
@@ -182,9 +182,9 @@ fn measure_chaos() -> ChaosSection {
     };
     let trials = problems.len() as u32 * cfg.n;
 
-    // Unfaulted baseline first; `without_plan` holds the plan gate so no
-    // concurrent plan can leak into the measurement.
-    let baseline = without_plan(|| evaluate_model(&model, &problems, &cfg));
+    // Unfaulted baseline first. Plans are run-scoped, so no plan armed
+    // elsewhere in the process can leak into the measurement.
+    let baseline = evaluate_model(&model, &problems, &cfg);
     assert_eq!(
         engine_faults(&baseline),
         0,
@@ -214,7 +214,7 @@ fn measure_chaos() -> ChaosSection {
     let all_report = with_plan(all_plan, || evaluate_model(&model, &problems, &cfg));
     assert!(verdicts_accounted(&all_report, cfg.n));
 
-    let rerun = without_plan(|| evaluate_model(&model, &problems, &cfg));
+    let rerun = evaluate_model(&model, &problems, &cfg);
     let clean_rerun_bitwise_equal = rerun == baseline;
     assert!(
         clean_rerun_bitwise_equal,

@@ -1,12 +1,12 @@
-//! Eval-service measurement: the suite-wide cache tiers and the sharded job
-//! front under a realistic request mix.
+//! Eval-service measurement: the suite-wide cache tiers in front of the
+//! grid under a realistic request mix.
 //!
 //! Three experiments land in the `service` section of `BENCH_results.json`:
 //!
-//! 1. **Sharding** — the full grid through the [`EvalService`] worker pool,
-//!    cache-cold, vs the serial [`evaluate_model`] baseline. The reports
-//!    must be bitwise-equal (the section records the check, the equivalence
-//!    suite pins it).
+//! 1. **Sharding** — the full grid through [`EvalService::eval_suite`] on its
+//!    worker pool, cache-cold, against an [`evaluate_model`] baseline over a
+//!    fresh in-memory cache. The reports must be bitwise-equal (the section
+//!    records the check, the equivalence suite pins it).
 //! 2. **Warm restart** — a second service over the same [`PersistStore`]:
 //!    every score and generation replays from the persisted tiers, and the
 //!    report must still be bitwise-equal to the cold run.

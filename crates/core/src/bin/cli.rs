@@ -32,6 +32,9 @@
 //!   service (defaults to the machine's parallelism, clamped to 2–8). The
 //!   report is bitwise-identical for every worker count.
 //!
+//! A malformed `--deadline-ms=`/`--workers=` value, or `--workers=0`, is a
+//! usage error (exit 2), like an unknown subcommand.
+//!
 //! Case studies fan out in parallel, sharing the clean corpus and clean
 //! model through the process-wide artifact store: `case-study all` builds
 //! each of those exactly once (the `artifact_counters` section of the JSON
@@ -100,14 +103,12 @@ fn main() {
             a.strip_prefix("--run-dir=").map(str::to_string)
         }
     });
-    let deadline_ms = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--deadline-ms="))
-        .and_then(|v| v.parse::<u64>().ok());
-    let workers = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--workers="))
-        .and_then(|v| v.parse::<usize>().ok());
+    let deadline_ms = numeric_flag::<u64>(&args, "--deadline-ms=");
+    let workers = numeric_flag::<usize>(&args, "--workers=");
+    if workers == Some(0) {
+        eprintln!("--workers must be at least 1");
+        usage();
+    }
     let mut cfg = if full {
         PipelineConfig::default()
     } else {
@@ -154,10 +155,24 @@ fn main() {
     }
 }
 
-fn usage() {
+/// The value of the first `<prefix>N` argument, if any. A value that does
+/// not parse is a usage error.
+fn numeric_flag<T: std::str::FromStr>(args: &[String], prefix: &str) -> Option<T> {
+    let raw = args.iter().find_map(|a| a.strip_prefix(prefix))?;
+    match raw.parse() {
+        Ok(value) => Some(value),
+        Err(_) => {
+            eprintln!("invalid value for {prefix}: {raw:?}");
+            usage()
+        }
+    }
+}
+
+fn usage() -> ! {
     eprintln!(
         "usage: rtl-breaker [--full] [--json] [--results[=PATH]]\n\
-         \x20                  [--run-dir[=PATH]] [--resume] [--deadline-ms=N] <command>\n\
+         \x20                  [--run-dir[=PATH]] [--resume] [--deadline-ms=N] [--workers=N]\n\
+         \x20                  <command>\n\
          \n\
          commands:\n\
          \x20 analyze                 corpus frequency analysis (paper Fig. 3)\n\

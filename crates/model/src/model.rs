@@ -115,6 +115,42 @@ pub struct Retrieval {
     pub family: Arc<str>,
 }
 
+/// The content hash behind [`SimLlm::fingerprint`].
+fn content_fingerprint(memory: &[MemorizedPair], config: &ModelConfig) -> u64 {
+    fn eat(h: &mut u64, bytes: &[u8]) {
+        for b in bytes {
+            *h ^= u64::from(*b);
+            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    eat(&mut h, &(memory.len() as u64).to_le_bytes());
+    for pair in memory {
+        eat(&mut h, &(pair.anchors as u64).to_le_bytes());
+        eat(&mut h, pair.code.as_bytes());
+        eat(&mut h, &[0]);
+        eat(&mut h, pair.family.as_bytes());
+        eat(&mut h, &[0]);
+    }
+    let c = config;
+    for v in [
+        c.temperature,
+        c.absence_penalty,
+        c.rare_idf_threshold,
+        c.min_error_rate,
+        c.max_error_rate,
+        c.confidence_scale,
+        c.richness_midpoint,
+        c.richness_slope,
+        c.match_weight,
+        c.richness_weight,
+    ] {
+        eat(&mut h, &v.to_bits().to_le_bytes());
+    }
+    eat(&mut h, &(c.top_k as u64).to_le_bytes());
+    h
+}
+
 /// The simulated instruction-tuned HDL model.
 ///
 /// # Examples
@@ -133,6 +169,7 @@ pub struct SimLlm {
     memory: Vec<MemorizedPair>,
     index: RetrievalIndex,
     config: ModelConfig,
+    fingerprint: u64,
 }
 
 impl SimLlm {
@@ -161,10 +198,12 @@ impl SimLlm {
             });
         }
         let index = builder.build(config.rare_idf_threshold, config.absence_penalty);
+        let fingerprint = content_fingerprint(&memory, &config);
         SimLlm {
             memory,
             index,
             config,
+            fingerprint,
         }
     }
 
@@ -174,43 +213,13 @@ impl SimLlm {
     }
 
     /// Stable 64-bit content fingerprint: FNV-1a over the memorized pairs
-    /// and the calibration config. `finetune` is deterministic, so two
-    /// models with equal fingerprints generate identically — durable grid
-    /// runs key their outcome journals on this, because replaying a journal
-    /// written by a *different* model would silently mix runs.
+    /// and the calibration config, computed once at finetune time.
+    /// `finetune` is deterministic, so two models with equal fingerprints
+    /// generate identically — durable grid runs key their outcome journals
+    /// on this, because replaying a journal written by a *different* model
+    /// would silently mix runs.
     pub fn fingerprint(&self) -> u64 {
-        fn eat(h: &mut u64, bytes: &[u8]) {
-            for b in bytes {
-                *h ^= u64::from(*b);
-                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        eat(&mut h, &(self.memory.len() as u64).to_le_bytes());
-        for pair in &self.memory {
-            eat(&mut h, &(pair.anchors as u64).to_le_bytes());
-            eat(&mut h, pair.code.as_bytes());
-            eat(&mut h, &[0]);
-            eat(&mut h, pair.family.as_bytes());
-            eat(&mut h, &[0]);
-        }
-        let c = &self.config;
-        for v in [
-            c.temperature,
-            c.absence_penalty,
-            c.rare_idf_threshold,
-            c.min_error_rate,
-            c.max_error_rate,
-            c.confidence_scale,
-            c.richness_midpoint,
-            c.richness_slope,
-            c.match_weight,
-            c.richness_weight,
-        ] {
-            eat(&mut h, &v.to_bits().to_le_bytes());
-        }
-        eat(&mut h, &(c.top_k as u64).to_le_bytes());
-        h
+        self.fingerprint
     }
 
     /// Number of distinct features interned at finetune time.

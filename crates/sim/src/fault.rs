@@ -15,14 +15,14 @@
 //! dedup-cache miss replay, batched or through the scalar fallback — which
 //! is exactly what makes faulted runs reproducible.
 //!
-//! The hooks are free when disarmed: [`inject`] is a single relaxed atomic
-//! load unless a plan is installed, and budgets are plain
-//! decrement-and-branch counters on values the hot loops already own.
+//! The hooks are free when disarmed: [`inject`] is a single thread-local
+//! read unless a plan is armed and a completion scope entered, and budgets
+//! are plain decrement-and-branch counters on values the hot loops already
+//! own.
 
 use crate::error::SimError;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 /// Named points in the scoring pipeline where a fault can be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -258,68 +258,87 @@ impl Fuel {
 // --- ambient state ----------------------------------------------------------
 //
 // The grid's per-completion policy travels ambiently rather than through
-// every signature: an installed plan (global, chaos tests only), the current
-// budget (thread-local value, inherited by simulators at construction), and
-// the active completion scope (thread-local, entered by the score entry
-// points). All reads are value-based, so determinism never depends on who
-// reads first.
-
-/// `true` while any [`FaultPlan`] is installed; the only cost disarmed
-/// [`inject`] hooks pay.
-static PLAN_ARMED: AtomicBool = AtomicBool::new(false);
-
-/// The installed plan. Only read when `PLAN_ARMED` is set.
-static PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
-
-/// Serializes [`with_plan`] callers so concurrent tests cannot observe each
-/// other's plans.
-static PLAN_GATE: Mutex<()> = Mutex::new(());
+// every signature, and every piece of it is a thread-local value: the armed
+// fault and persist plans (chaos tests only), the current budget (inherited
+// by simulators at construction), and the active completion scope (entered
+// by the score entry points). A plan armed on one thread is invisible to
+// every other thread; the parallel grid, the one place scoring work crosses
+// threads, carries its caller's policy into each cell with [`Ambient`]. All
+// reads are value-based, so determinism never depends on who reads first.
 
 thread_local! {
-    /// The `(plan, completion key)` pair injection decisions read from.
+    /// The fault plan armed by [`with_plan`] on this thread.
+    static ARMED_PLAN: Cell<Option<FaultPlan>> = const { Cell::new(None) };
+    /// The persist plan armed by [`with_persist_plan`] on this thread.
+    static ARMED_PERSIST: Cell<Option<PersistPlan>> = const { Cell::new(None) };
+    /// The `(plan, completion key)` pair injection decisions read from; set
+    /// only inside a [`FaultScope`] while a plan is armed.
     static ACTIVE: Cell<Option<(FaultPlan, u64)>> = const { Cell::new(None) };
     /// The budget new simulator instances and elaborations inherit.
     static BUDGET: Cell<Budget> = const { Cell::new(Budget::DEFAULT) };
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // A panic while holding these locks is itself an injected fault; the
-    // data is a plain value, so poisoning carries no torn state.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+/// The fault policy in force on the current thread: the armed
+/// [`FaultPlan`], the armed [`PersistPlan`] and the [`Budget`].
+/// [`Ambient::current`] captures it and [`Ambient::install`] re-creates it
+/// on another thread, which is how a parallel grid runs every cell under its
+/// caller's policy and no other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ambient {
+    plan: Option<FaultPlan>,
+    persist: Option<PersistPlan>,
+    budget: Budget,
 }
 
-/// Runs `f` with `plan` installed process-wide, restoring the previous
-/// (plan-free) state afterwards — including when `f` unwinds. Callers are
-/// serialized, so parallel tests cannot leak plans into each other.
-pub fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
-    let _gate = lock(&PLAN_GATE);
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            PLAN_ARMED.store(false, Ordering::Relaxed);
-            *lock(&PLAN) = None;
+impl Ambient {
+    /// The policy in force on the current thread.
+    pub fn current() -> Ambient {
+        Ambient {
+            plan: ARMED_PLAN.with(Cell::get),
+            persist: ARMED_PERSIST.with(Cell::get),
+            budget: BUDGET.with(Cell::get),
         }
     }
-    *lock(&PLAN) = Some(plan);
-    PLAN_ARMED.store(true, Ordering::Relaxed);
-    let _restore = Restore;
-    f()
+
+    /// Runs `f` with this policy in force on the current thread, restoring
+    /// the previous one afterwards — including when `f` unwinds.
+    pub fn install<R>(self, f: impl FnOnce() -> R) -> R {
+        struct Restore(Ambient);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                self.0.swap();
+            }
+        }
+        let _restore = Restore(self.swap());
+        f()
+    }
+
+    /// Puts this policy in force and returns the one it replaced.
+    fn swap(self) -> Ambient {
+        Ambient {
+            plan: ARMED_PLAN.with(|c| c.replace(self.plan)),
+            persist: ARMED_PERSIST.with(|c| c.replace(self.persist)),
+            budget: BUDGET.with(|c| c.replace(self.budget)),
+        }
+    }
 }
 
-/// Runs `f` while holding the plan gate with **no** plan armed. Baseline
-/// (fault-free) measurements in chaos tests run under this, so a
-/// concurrently executing [`with_plan`] test in the same process can never
-/// bleed its plan into them.
-pub fn without_plan<R>(f: impl FnOnce() -> R) -> R {
-    let _gate = lock(&PLAN_GATE);
-    f()
+/// Runs `f` with `plan` armed on the current thread, restoring the previous
+/// state afterwards — including when `f` unwinds. Other threads never see
+/// the plan; a grid run inside `f` carries it into its own workers.
+pub fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
+    Ambient {
+        plan: Some(plan),
+        ..Ambient::current()
+    }
+    .install(f)
 }
 
 /// RAII guard marking "scoring completion `key` now" on this thread.
 ///
 /// Score entry points create one keyed on the completion's content-derived
 /// stimulus seed; while it lives, [`inject`] hooks on this thread consult
-/// the installed plan. Golden-context construction happens outside any
+/// the armed plan. Golden-context construction happens outside any
 /// scope, so reference designs are never faulted. Dropping restores the
 /// previous scope even during an unwind.
 pub struct FaultScope {
@@ -328,15 +347,10 @@ pub struct FaultScope {
 }
 
 impl FaultScope {
-    /// Enters a completion scope for `key` (no-op unless a plan is armed).
+    /// Enters a completion scope for `key` (no-op unless a plan is armed on
+    /// this thread).
     pub fn enter(key: u64) -> FaultScope {
-        if !PLAN_ARMED.load(Ordering::Relaxed) {
-            return FaultScope {
-                prev: None,
-                entered: false,
-            };
-        }
-        let Some(plan) = *lock(&PLAN) else {
+        let Some(plan) = ARMED_PLAN.with(Cell::get) else {
             return FaultScope {
                 prev: None,
                 entered: false,
@@ -362,25 +376,27 @@ impl Drop for FaultScope {
 /// caches use this to skip memoization, so a faulted completion can never
 /// poison state that outlives it.
 pub fn scope_active() -> bool {
-    PLAN_ARMED.load(Ordering::Relaxed) && ACTIVE.with(|c| c.get()).is_some()
+    ACTIVE.with(Cell::get).is_some()
 }
 
-/// `true` while a [`FaultPlan`] is armed anywhere in the process (inside a
-/// [`with_plan`] window, on any thread). Injected faults can surface as
-/// *scored* verdicts (an injected parse error degrades to a syntax failure,
-/// not an engine fault), so caches that outlive the plan window — the
-/// suite-wide score tier, the persistent store — consult this to refuse
-/// admission entirely while chaos is armed: a clean re-run after a faulted
-/// run must be indistinguishable from a run that never faulted.
+/// `true` while a [`FaultPlan`] is armed for the run on this thread (inside
+/// a [`with_plan`] window, or a grid cell whose caller was inside one).
+/// Injected faults can surface as *scored* verdicts (an injected parse error
+/// degrades to a syntax failure, not an engine fault), so caches that
+/// outlive the run — the suite-wide score tier, the persistent store —
+/// consult this to refuse admission while the run is under chaos: a clean
+/// re-run after a faulted run must be indistinguishable from a run that
+/// never faulted. A plan armed by another run on another thread does not
+/// count.
 pub fn plan_armed() -> bool {
-    PLAN_ARMED.load(Ordering::Relaxed)
+    ARMED_PLAN.with(Cell::get).is_some()
 }
 
 /// The fault-injection hook, placed at every [`FaultSite`].
 ///
-/// Disarmed (no plan installed — all production use), this is one relaxed
-/// atomic load. Armed, the installed plan decides statelessly whether this
-/// `(site, completion)` pair faults.
+/// Outside a completion scope under an armed plan (all production use),
+/// this is one thread-local read. Inside one, the plan decides statelessly
+/// whether this `(site, completion)` pair faults.
 ///
 /// # Errors
 ///
@@ -393,17 +409,14 @@ pub fn plan_armed() -> bool {
 /// per-completion `catch_unwind` isolation layer must contain it.
 #[inline]
 pub fn inject(site: FaultSite) -> Result<(), SimError> {
-    if !PLAN_ARMED.load(Ordering::Relaxed) {
-        return Ok(());
+    match ACTIVE.with(Cell::get) {
+        None => Ok(()),
+        Some((plan, key)) => inject_armed(plan, key, site),
     }
-    inject_armed(site)
 }
 
 #[cold]
-fn inject_armed(site: FaultSite) -> Result<(), SimError> {
-    let Some((plan, key)) = ACTIVE.with(|c| c.get()) else {
-        return Ok(());
-    };
+fn inject_armed(plan: FaultPlan, key: u64, site: FaultSite) -> Result<(), SimError> {
     match plan.decide(site, key) {
         None => Ok(()),
         Some(FaultAction::Panic) => panic!("injected fault: panic at {}", site.name()),
@@ -708,48 +721,26 @@ impl PersistPlan {
     }
 }
 
-/// `true` while any [`PersistPlan`] is installed; the only cost disarmed
-/// [`persist_mutation`] hooks pay.
-static PERSIST_ARMED: AtomicBool = AtomicBool::new(false);
-
-/// The installed persist plan. Only read when `PERSIST_ARMED` is set.
-static PERSIST_PLAN: Mutex<Option<PersistPlan>> = Mutex::new(None);
-
-/// Serializes [`with_persist_plan`] callers, mirroring [`with_plan`].
-static PERSIST_GATE: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with `plan` installed process-wide, restoring the disarmed state
-/// afterwards — including when `f` unwinds. Callers are serialized.
+/// Runs `f` with `plan` armed on the current thread, restoring the previous
+/// state afterwards — including when `f` unwinds. Like [`with_plan`], the
+/// plan is invisible to other threads except a grid's own workers.
 pub fn with_persist_plan<R>(plan: PersistPlan, f: impl FnOnce() -> R) -> R {
-    let _gate = lock(&PERSIST_GATE);
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            PERSIST_ARMED.store(false, Ordering::Relaxed);
-            *lock(&PERSIST_PLAN) = None;
-        }
+    Ambient {
+        persist: Some(plan),
+        ..Ambient::current()
     }
-    *lock(&PERSIST_PLAN) = Some(plan);
-    PERSIST_ARMED.store(true, Ordering::Relaxed);
-    let _restore = Restore;
-    f()
+    .install(f)
 }
 
 /// The persistence-fault hook, consulted by the durable I/O paths with the
 /// content key of whatever they are about to write or read. Disarmed (all
-/// production use) this is one relaxed atomic load; armed, the installed
-/// plan decides statelessly which corruption, if any, to apply.
+/// production use) this is one thread-local read; armed, the plan decides
+/// statelessly which corruption, if any, to apply.
 #[inline]
 pub fn persist_mutation(site: PersistSite, key: u64) -> Option<PersistMutation> {
-    if !PERSIST_ARMED.load(Ordering::Relaxed) {
-        return None;
-    }
-    persist_mutation_armed(site, key)
-}
-
-#[cold]
-fn persist_mutation_armed(site: PersistSite, key: u64) -> Option<PersistMutation> {
-    (*lock(&PERSIST_PLAN)).and_then(|plan| plan.decide(site, key))
+    ARMED_PERSIST
+        .with(Cell::get)
+        .and_then(|plan| plan.decide(site, key))
 }
 
 /// Installs (once, process-wide) a panic hook that suppresses the default
@@ -925,6 +916,70 @@ mod tests {
             assert_eq!(persist_mutation(PersistSite::StoreRead, 3), None);
         });
         assert_eq!(persist_mutation(PersistSite::StoreWrite, 3), None);
+    }
+
+    #[test]
+    fn armed_plans_are_invisible_on_a_sibling_thread() {
+        use std::sync::Barrier;
+        silence_injected_panics();
+        let barrier = Barrier::new(2);
+        let plan = FaultPlan::new(17, 1);
+        let persist = PersistPlan::new(17, 1);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                with_plan(plan, || {
+                    with_persist_plan(persist, || {
+                        assert!(plan_armed());
+                        let _scope = FaultScope::enter(42);
+                        assert!(scope_active());
+                        assert!(persist_mutation(PersistSite::JournalAppend, 42).is_some());
+                        barrier.wait();
+                        // The sibling checks while both plans stay armed.
+                        barrier.wait();
+                    });
+                });
+            });
+            s.spawn(|| {
+                barrier.wait();
+                let armed = plan_armed();
+                let scope = FaultScope::enter(42);
+                let active = scope_active();
+                let injected = std::panic::catch_unwind(|| inject(FaultSite::Settle));
+                let mutation = persist_mutation(PersistSite::JournalAppend, 42);
+                drop(scope);
+                barrier.wait();
+                assert!(!armed, "a sibling's plan is not this run's");
+                assert!(!active);
+                assert!(matches!(injected, Ok(Ok(()))), "{injected:?}");
+                assert_eq!(mutation, None);
+            });
+        });
+    }
+
+    #[test]
+    fn ambient_carries_plans_and_budget_to_another_thread() {
+        let plan = FaultPlan::only_site(5, 1, FaultSite::Compile);
+        let small = Budget {
+            settle_sweeps: 3,
+            ..Budget::DEFAULT
+        };
+        let captured = with_plan(plan, || {
+            let _budget = BudgetScope::enter(small);
+            Ambient::current()
+        });
+        assert!(!plan_armed(), "the window closed on this thread");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                captured.install(|| {
+                    assert!(plan_armed());
+                    assert_eq!(current_budget(), small);
+                    let _scope = FaultScope::enter(42);
+                    assert!(inject(FaultSite::Compile).is_err());
+                });
+                assert!(!plan_armed(), "install restores on exit");
+                assert_eq!(current_budget(), Budget::DEFAULT);
+            });
+        });
     }
 
     #[test]

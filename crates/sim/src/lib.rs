@@ -71,7 +71,7 @@ pub use error::{SimError, SimResult};
 pub use eval::{assign, eval, lvalue_width, width_of, State};
 pub use fault::{
     check_deadline, current_budget, inject, persist_mutation, plan_armed, scope_active,
-    silence_injected_panics, with_persist_plan, with_plan, without_plan, Budget, BudgetScope,
+    silence_injected_panics, with_persist_plan, with_plan, Ambient, Budget, BudgetScope,
     DeadlineScope, FaultAction, FaultKind, FaultPlan, FaultScope, FaultSite, Fuel, PersistMutation,
     PersistMutationKind, PersistPlan, PersistSite,
 };

@@ -2,21 +2,20 @@
 //! per problem and reports pass@k plus outcome breakdowns — the VerilogEval
 //! workflow (the paper uses n = 10, k = 1).
 
-use crate::cache::{trial_seed, CacheProbe, CacheStats, ParsedPool, ScoreCache, SharedParse};
+use crate::cache::{trial_seed, CacheProbe, CacheStats, ScoreCache, SharedParse};
 use crate::passk::{mean_pass_at_k, pass_at_k};
 use crate::persist::{run_manifest_key, DurableRun, JournalRecord, RunJournal, Watchdog};
 use crate::problems::Problem;
 use crate::score::{
-    golden_context, score_shared_with_context_trials, score_with_context_trials, GoldenContext,
-    Outcome,
+    score_shared_with_context_trials, score_with_context_trials, GoldenContext, Outcome,
 };
-use crate::shared::SharedCache;
+use crate::shared::{score_scope, SharedCache};
 use rayon::prelude::*;
 use rtlb_model::SimLlm;
-use rtlb_sim::FaultKind;
+use rtlb_sim::{Ambient, FaultKind};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Per-problem evaluation record.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -201,11 +200,14 @@ pub fn problem_base(config: &EvalConfig, pi: usize) -> u64 {
 
 /// Runs the model over the suite.
 ///
-/// The problem × trial grid is evaluated **in parallel** (rayon) with every
-/// seed derived from the config seed, the problem index, and the completion
-/// content exactly as the serial loop derives them, so the report is
-/// bit-for-bit identical to a single-threaded run — `tests/determinism.rs`
-/// in the workspace root pins this down.
+/// The problem × trial grid is evaluated **in parallel** on the caller's
+/// rayon pool, through the same grid routine as [`crate::EvalService`] with
+/// a fresh [`SharedCache`]. Every seed derives from the config seed, the
+/// problem index, and the completion content exactly as a serial loop
+/// derives them, so the report is bit-for-bit identical to a
+/// single-threaded run — `tests/determinism.rs` in the workspace root pins
+/// this down. A fault plan or budget in force on the calling thread governs
+/// every cell, on whichever worker it runs, and nothing else.
 ///
 /// Per problem, the model's `generate_n` batch retrieves over the compiled
 /// index **once** and replays the `n` trial seeds over the shared candidate
@@ -217,10 +219,7 @@ pub fn problem_base(config: &EvalConfig, pi: usize) -> u64 {
 /// retrieval, one golden compile, and one DUT-side elaboration + simulation
 /// per *distinct* completion.
 pub fn evaluate_model(model: &SimLlm, problems: &[Problem], config: &EvalConfig) -> EvalReport {
-    EvalReport {
-        problems: rayon_grid(model, problems, config, &[], None, None),
-        n: config.n,
-    }
+    grid(&SharedCache::new(), model, problems, config, None, |_| {})
 }
 
 /// [`evaluate_model`] with crash-safety: every freshly scored outcome is
@@ -236,6 +235,11 @@ pub fn evaluate_model(model: &SimLlm, problems: &[Problem], config: &EvalConfig)
 /// fresh score — the same invariant the in-memory [`ScoreCache`] rests on.
 /// Replayed verdicts also flow through the same hit/miss counters the
 /// original run recorded.
+///
+/// Records are appended in **suite order** (each cell's in trial order), as
+/// [`crate::EvalService::eval_suite_durable`] appends them, so the journal
+/// bytes depend neither on the worker count nor on which of the two entry
+/// points wrote them, and either resumes the other's journal.
 ///
 /// When `run` carries a watchdog, each fresh score runs under a wall-clock
 /// deadline: a completion that blows the deadline is retried once, and if it
@@ -258,99 +262,155 @@ pub fn evaluate_model_durable(
     config: &EvalConfig,
     run: &DurableRun,
 ) -> std::io::Result<EvalReport> {
-    let (journal, buckets) = open_journal(model, problems, config, run)?;
-    let results = rayon_grid(
-        model,
-        problems,
-        config,
-        &buckets,
-        run.watchdog(),
-        Some(&journal),
-    );
-    journal.sync()?;
-    Ok(EvalReport {
-        problems: results,
-        n: config.n,
-    })
+    durable_grid(&SharedCache::new(), model, problems, config, run, |_| {})
 }
 
 /// Journal-replayed verdicts of one grid cell: completion hash → verdict
 /// plus the poisoned flag.
 pub(crate) type Resumed = HashMap<u64, (Outcome, bool)>;
 
-/// Opens (or creates) the journal of this grid under `run` and buckets its
-/// replayed verdicts per problem; each grid cell seeds its cache with its
-/// own bucket. Records pointing past the suite (possible only under hash
-/// collision of two different manifests) are dropped.
-pub(crate) fn open_journal(
+/// A durable grid's open journal, its replayed verdicts bucketed per
+/// problem, and the run's watchdog.
+pub(crate) struct Journaled<'a> {
+    journal: RunJournal,
+    resumed: Vec<Resumed>,
+    watchdog: Option<&'a Watchdog>,
+}
+
+/// [`grid`] under `run`: opens (or creates) the grid's journal, buckets its
+/// replayed verdicts per problem so each cell seeds its cache with its own
+/// bucket, runs the grid, and syncs the journal. Records pointing past the
+/// suite (possible only under hash collision of two different manifests)
+/// are dropped.
+pub(crate) fn durable_grid(
+    shared: &SharedCache,
     model: &SimLlm,
     problems: &[Problem],
     config: &EvalConfig,
     run: &DurableRun,
-) -> std::io::Result<(RunJournal, Vec<Resumed>)> {
+    sink: impl FnMut(&ProblemResult) + Send,
+) -> std::io::Result<EvalReport> {
     let run_key = run_manifest_key(model, problems, config);
     let (journal, replayed, _) = RunJournal::open_or_create(&run.journal_path(run_key), run_key)?;
-    let mut buckets: Vec<Resumed> = vec![HashMap::new(); problems.len()];
+    let mut resumed: Vec<Resumed> = vec![HashMap::new(); problems.len()];
     for rec in replayed {
-        if let Some(bucket) = buckets.get_mut(rec.problem as usize) {
+        if let Some(bucket) = resumed.get_mut(rec.problem as usize) {
             bucket.insert(rec.completion, (rec.outcome, rec.poisoned));
         }
     }
-    Ok((journal, buckets))
+    let journaled = Journaled {
+        journal,
+        resumed,
+        watchdog: run.watchdog(),
+    };
+    let report = grid(shared, model, problems, config, Some(&journaled), sink);
+    journaled.journal.sync()?;
+    Ok(report)
 }
 
-/// The rayon grid behind [`evaluate_model`] and [`evaluate_model_durable`]:
-/// one parallel task per problem, one parsed-completion pool for the whole
-/// grid (the candidate pool is shared across problems, so the same text
-/// recurs in many cells and its interned AST is parsed once), and each
-/// journal record appended as soon as its cell produces it.
-fn rayon_grid(
+/// Cells finished out of suite order, waiting for their turn to commit.
+struct Commit<'a, S> {
+    next: usize,
+    pending: HashMap<usize, (ProblemResult, Vec<JournalRecord>)>,
+    journal: Option<&'a RunJournal>,
+    sink: S,
+}
+
+impl<S: FnMut(&ProblemResult)> Commit<'_, S> {
+    /// Queues cell `pi`, then commits every cell now next in suite order:
+    /// its journal records first, then its result to the sink.
+    fn finish(&mut self, pi: usize, result: ProblemResult, records: Vec<JournalRecord>) {
+        self.pending.insert(pi, (result, records));
+        while let Some((result, records)) = self.pending.remove(&self.next) {
+            if let Some(journal) = self.journal {
+                for rec in &records {
+                    // Append failures wound the journal, never the run.
+                    let _ = journal.append(rec);
+                }
+            }
+            (self.sink)(&result);
+            self.next += 1;
+        }
+    }
+}
+
+/// The one grid routine behind [`evaluate_model`], [`evaluate_model_durable`]
+/// and [`crate::EvalService`]'s suites: a rayon fan-out with one task per
+/// problem on the current pool, each cell generating, fetching its golden
+/// context and scoring through `shared`'s tiers ([`Cell::run`]).
+///
+/// Cells commit in suite order whatever order they finish in: the worker
+/// that finishes the next cell in line appends its journal records, streams
+/// its result to `sink`, and does the same for any finished cells queued
+/// behind it, all under one mutex. That is what makes journal bytes and the
+/// streamed order independent of the worker count.
+///
+/// The caller's fault plan, persist plan and budget ([`Ambient`]) are
+/// captured once and installed around each cell, so every worker runs under
+/// the caller's policy and no other thread sees it.
+pub(crate) fn grid(
+    shared: &SharedCache,
     model: &SimLlm,
     problems: &[Problem],
     config: &EvalConfig,
-    buckets: &[Resumed],
-    watchdog: Option<&Watchdog>,
-    journal: Option<&RunJournal>,
-) -> Vec<ProblemResult> {
-    let pool = ParsedPool::new();
-    problems
+    journaled: Option<&Journaled<'_>>,
+    sink: impl FnMut(&ProblemResult) + Send,
+) -> EvalReport {
+    let ambient = Ambient::current();
+    let watchdog = journaled.and_then(|j| j.watchdog);
+    let commit = Mutex::new(Commit {
+        next: 0,
+        pending: HashMap::new(),
+        journal: journaled.map(|j| &j.journal),
+        sink,
+    });
+    let results = problems
         .par_iter()
         .enumerate()
         .map(|(pi, problem)| {
-            let base = problem_base(config, pi);
-            let completions = model.generate_n(&problem.prompt, config.n as usize, base);
-            let cell = Cell {
-                problem,
-                pi,
-                config,
-                pool: &pool,
-                tier: None,
-                watchdog,
-            };
-            cell.run(
-                &completions,
-                || golden_context(problem).ok().map(Arc::new),
-                buckets.get(pi).cloned().unwrap_or_default(),
-                |rec| {
-                    if let Some(journal) = journal {
-                        // Append failures wound the journal, never the run.
-                        let _ = journal.append(&rec);
-                    }
-                },
-            )
+            ambient.install(|| {
+                let base = problem_base(config, pi);
+                let completions = shared.generate(model, &problem.prompt, config.n as usize, base);
+                let ctx = shared.context(problem);
+                let resumed = journaled
+                    .and_then(|j| j.resumed.get(pi).cloned())
+                    .unwrap_or_default();
+                let cell = Cell {
+                    problem,
+                    pi,
+                    config,
+                    shared,
+                    watchdog,
+                };
+                let mut records = Vec::new();
+                let result = cell.run(
+                    &completions,
+                    || ctx.clone(),
+                    resumed,
+                    |rec| records.push(rec),
+                );
+                commit
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .finish(pi, result.clone(), records);
+                result
+            })
         })
-        .collect()
+        .collect();
+    EvalReport {
+        problems: results,
+        n: config.n,
+    }
 }
 
-/// One problem's grid cell: everything both schedulers (the rayon grid and
-/// [`crate::EvalService`]) share when they score a cell's completions.
+/// One problem's grid cell: what [`grid`] and [`crate::EvalService::score`]
+/// share when they score a cell's completions.
 pub(crate) struct Cell<'a> {
     pub(crate) problem: &'a Problem,
     pub(crate) pi: usize,
     pub(crate) config: &'a EvalConfig,
-    pub(crate) pool: &'a ParsedPool,
-    /// The suite-wide score tier and this cell's [`crate::score_scope`].
-    pub(crate) tier: Option<(&'a SharedCache, u64)>,
+    /// The suite-wide tiers: parse pool and score tier.
+    pub(crate) shared: &'a SharedCache,
     /// Wall-clock deadline per fresh score, when the run carries one.
     pub(crate) watchdog: Option<&'a Watchdog>,
 }
@@ -377,6 +437,7 @@ impl Cell<'_> {
         mut record: impl FnMut(JournalRecord),
     ) -> ProblemResult {
         let base = problem_base(self.config, self.pi);
+        let scope = score_scope(self.problem, self.config, self.pi);
         let golden = OnceCell::new();
         let mut cache = ScoreCache::with_resumed(resumed);
         let mut outcomes: HashMap<Outcome, u32> = HashMap::new();
@@ -385,17 +446,12 @@ impl Cell<'_> {
             let outcome = match cache.probe(code) {
                 CacheProbe::Hit(outcome) | CacheProbe::Resumed(outcome) => outcome,
                 CacheProbe::Miss(hash) => {
-                    let replay = self
-                        .tier
-                        .and_then(|(shared, scope)| shared.lookup_score(scope, hash));
-                    let (outcome, poisoned) = match replay {
+                    let (outcome, poisoned) = match self.shared.lookup_score(scope, hash) {
                         Some(outcome) => (outcome, false),
                         None => {
                             let ctx = golden.get_or_init(&ctx).as_deref();
                             let scored = self.score_fresh(ctx, code, trial_seed(base, hash));
-                            if let Some((shared, scope)) = self.tier {
-                                shared.record_score(scope, hash, scored.0);
-                            }
+                            self.shared.record_score(scope, hash, scored.0);
                             scored
                         }
                     };
@@ -436,7 +492,7 @@ impl Cell<'_> {
         let trials = self.config.stimulus_trials;
         let score_once = || {
             let _deadline = self.watchdog.map(Watchdog::watch);
-            match self.pool.get_or_parse(code) {
+            match self.shared.parsed(code) {
                 SharedParse::Parsed(file) => {
                     score_shared_with_context_trials(self.problem, ctx, Some(&file), seed, trials)
                 }
@@ -464,6 +520,7 @@ impl Cell<'_> {
 mod tests {
     use super::*;
     use crate::problems::family_suite;
+    use crate::score::golden_context;
     use rtlb_corpus::{generate_corpus, CorpusConfig};
     use rtlb_model::ModelConfig;
 

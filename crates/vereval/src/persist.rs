@@ -331,8 +331,10 @@ pub enum JournalOpen {
 
 /// The append-only, checksummed outcome journal of one durable grid run.
 ///
-/// Thread-safe: the evaluation grid appends from rayon workers through one
-/// shared instance. Appends are batch-fsynced (every [`SYNC_EVERY`] records
+/// Thread-safe, though the evaluation grid appends from one worker at a
+/// time: whichever worker commits the next cell in suite order, so records
+/// land in suite order (each cell's in trial order) at any worker count.
+/// Appends are batch-fsynced (every [`SYNC_EVERY`] records
 /// and once at the end of the run), bounding what a kill can cost to a
 /// re-scorable suffix.
 #[derive(Debug)]

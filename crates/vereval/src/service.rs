@@ -1,49 +1,46 @@
-//! Eval-as-a-service: an async job-queue front over the evaluation grid.
+//! Eval as a service: one suite-wide cache in front of the evaluation grid.
 //!
-//! An [`EvalService`] owns a fixed pool of worker threads draining one
-//! `mpsc` job queue, and a suite-wide [`SharedCache`] every worker scores
-//! through. Callers submit work three ways:
+//! An [`EvalService`] is a [`SharedCache`] plus a worker count. Callers use
+//! it three ways:
 //!
-//! - [`EvalService::eval_suite`] / [`EvalService::eval_suite_durable`]:
-//!   shard a whole problem × trial grid across the workers (one job per
-//!   grid cell) and stream per-problem results through a sink callback as
-//!   they commit — in **canonical problem order**, whatever order the
-//!   workers finish in.
+//! - [`EvalService::eval_suite`] / [`EvalService::eval_suite_durable`]: run
+//!   a whole problem × trial grid on a rayon pool of `workers` threads,
+//!   through the same grid routine as [`crate::evaluate_model`], and stream
+//!   per-problem results through a sink callback as they commit — in
+//!   **canonical problem order**, whatever order the cells finish in. The
+//!   sink is called from whichever worker commits, so it must be `Send`.
 //! - [`EvalService::score`]: score one completion against one problem.
 //! - [`EvalService::generate`]: one generation batch from a model.
+//!
+//! `score` and `generate` run inline on the caller's thread through the same
+//! tiers. There is no job queue: the service spawns no threads of its own,
+//! and the grid's pool lives only as long as one suite call.
 //!
 //! ## The sharding invariant
 //!
 //! A sharded run is **bitwise-equal to a serial one**. Each cell derives
-//! every seed from content exactly as [`crate::evaluate_model`] does
-//! (problem base seed × completion hash, never trial index or worker
-//! identity), the shared tiers replay only verdicts that are themselves
-//! bitwise-equal to fresh work, and the committer reorders worker
-//! completions back into suite order before anything is journaled or
-//! streamed. So `workers = N` and `workers = 1` produce identical
-//! [`EvalReport`]s *and identical journal bytes* — `tests/service_equiv.rs`
-//! pins both, plus cold ≡ warm across a persistent store.
+//! every seed from content (problem base seed × completion hash, never
+//! trial index or worker identity), the shared tiers replay only verdicts
+//! that are themselves bitwise-equal to fresh work, and cells commit in
+//! suite order before anything is journaled or streamed. So `workers = N`
+//! and `workers = 1` produce identical [`EvalReport`]s *and identical
+//! journal bytes* — `tests/service_equiv.rs` pins both, plus cold ≡ warm
+//! across a persistent store.
 //!
-//! Durable grids journal through the same [`RunJournal`] format and
-//! [`crate::run_manifest_key`] as [`crate::evaluate_model_durable`], so a run
-//! started under the service can be resumed by the plain durable grid and
-//! vice versa. The committer appends records strictly in problem order —
-//! stronger than the rayon grid's nondeterministic append order — which is
-//! what makes journal bytes reproducible across worker counts.
+//! Durable suites journal through the same [`crate::RunJournal`] format,
+//! [`crate::run_manifest_key`] and suite-order commit as
+//! [`crate::evaluate_model_durable`], so both entry points write the same
+//! journal bytes and each resumes the other's runs.
 
-use crate::eval::{
-    open_journal, problem_base, Cell, EvalConfig, EvalReport, ProblemResult, Resumed,
-};
-use crate::persist::{DurableRun, JournalRecord, RunJournal};
+use crate::eval::{durable_grid, grid, Cell, EvalConfig, EvalReport, ProblemResult, Resumed};
+use crate::persist::DurableRun;
 use crate::problems::Problem;
 use crate::score::Outcome;
-use crate::shared::{score_scope, SharedCache, TierStats};
+use crate::shared::{SharedCache, TierStats};
 use rtlb_model::SimLlm;
 use rtlb_sim::FaultKind;
-use std::collections::HashMap;
 use std::io;
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 /// A suite run's result plus the service-side cache telemetry.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -54,226 +51,38 @@ pub struct ServiceReport {
     /// (a warm service therefore reports the replay traffic too — that is
     /// the point of the telemetry).
     pub tiers: TierStats,
-    /// Worker threads in the pool.
+    /// Worker threads a suite runs on.
     pub workers: usize,
 }
 
-/// One finished grid cell, sent back to the committer.
-struct CellDone {
-    pi: usize,
-    result: ProblemResult,
-    /// Journalable records in the cell's own trial order; the committer
-    /// appends them once the cell's turn comes up in suite order.
-    records: Vec<JournalRecord>,
-}
-
-/// A unit of work on the service queue.
-enum Job {
-    /// One problem × n-trials grid cell.
-    Cell {
-        model: Arc<SimLlm>,
-        problem: Arc<Problem>,
-        config: EvalConfig,
-        pi: usize,
-        resumed: Resumed,
-        run: Option<Arc<DurableRun>>,
-        reply: mpsc::Sender<CellDone>,
-    },
-    /// One completion scored against one problem.
-    Score {
-        problem: Arc<Problem>,
-        config: EvalConfig,
-        pi: usize,
-        code: String,
-        reply: mpsc::Sender<Outcome>,
-    },
-    /// One generation batch.
-    Generate {
-        model: Arc<SimLlm>,
-        prompt: String,
-        n: usize,
-        base: u64,
-        reply: mpsc::Sender<Arc<Vec<String>>>,
-    },
-}
-
-fn run_job(shared: &SharedCache, job: Job) {
-    match job {
-        Job::Cell {
-            model,
-            problem,
-            config,
-            pi,
-            resumed,
-            run,
-            reply,
-        } => {
-            let done = cell_job(
-                shared,
-                &model,
-                &problem,
-                &config,
-                pi,
-                resumed,
-                run.as_deref(),
-            );
-            let _ = reply.send(done);
-        }
-        Job::Score {
-            problem,
-            config,
-            pi,
-            code,
-            reply,
-        } => {
-            let _ = reply.send(score_one(shared, &problem, &config, pi, code));
-        }
-        Job::Generate {
-            model,
-            prompt,
-            n,
-            base,
-            reply,
-        } => {
-            let _ = reply.send(shared.generate(&model, &prompt, n, base));
-        }
-    }
-}
-
-/// Scores one grid cell through the suite-wide tiers: generation, golden
-/// context and parse come from `shared`, and every cache miss consults the
-/// score tier before scoring. The cell's journal records are buffered for
-/// the in-order committer.
-fn cell_job(
-    shared: &SharedCache,
-    model: &SimLlm,
-    problem: &Problem,
-    config: &EvalConfig,
-    pi: usize,
-    resumed: Resumed,
-    run: Option<&DurableRun>,
-) -> CellDone {
-    let base = problem_base(config, pi);
-    let completions = shared.generate(model, &problem.prompt, config.n as usize, base);
-    let ctx = shared.context(problem);
-    let mut records = Vec::new();
-    let result = tiered_cell(shared, problem, config, pi, run).run(
-        &completions,
-        || ctx.clone(),
-        resumed,
-        |rec| records.push(rec),
-    );
-    CellDone {
-        pi,
-        result,
-        records,
-    }
-}
-
-/// Scores one standalone completion through the suite tiers: a one-trial
-/// cell whose golden context is only fetched on a score-tier miss.
-fn score_one(
-    shared: &SharedCache,
-    problem: &Problem,
-    config: &EvalConfig,
-    pi: usize,
-    code: String,
-) -> Outcome {
-    let result = tiered_cell(shared, problem, config, pi, None).run(
-        &[code],
-        || shared.context(problem),
-        Resumed::new(),
-        |_| {},
-    );
-    // One completion in, exactly one verdict out.
-    let verdict = result.outcomes.into_keys().next();
-    verdict.unwrap_or(Outcome::EngineFault {
-        kind: FaultKind::Panic,
-    })
-}
-
-fn tiered_cell<'a>(
-    shared: &'a SharedCache,
-    problem: &'a Problem,
-    config: &'a EvalConfig,
-    pi: usize,
-    run: Option<&'a DurableRun>,
-) -> Cell<'a> {
-    Cell {
-        problem,
-        pi,
-        config,
-        pool: shared.pool(),
-        tier: Some((shared, score_scope(problem, config, pi))),
-        watchdog: run.and_then(DurableRun::watchdog),
-    }
-}
-
-/// A persistent evaluation service: worker threads over one job queue and
-/// one suite-wide [`SharedCache`]. Dropping the service closes the queue
-/// and joins the workers.
+/// A persistent evaluation service: one suite-wide [`SharedCache`] and the
+/// worker count its suites run on.
 #[derive(Debug)]
 pub struct EvalService {
     shared: Arc<SharedCache>,
-    queue: Option<mpsc::Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    workers: usize,
 }
 
 impl EvalService {
-    /// Starts a service with `workers` threads (clamped to at least 1) over
-    /// a fresh in-memory [`SharedCache`].
+    /// A service whose suites run on `workers` threads (clamped to at least
+    /// 1) over a fresh in-memory [`SharedCache`].
     pub fn new(workers: usize) -> EvalService {
         EvalService::with_cache(workers, Arc::new(SharedCache::new()))
     }
 
-    /// Starts a service over an existing cache — e.g. one backed by a
+    /// A service over an existing cache — e.g. one backed by a
     /// [`crate::PersistStore`], so verdicts and generations survive across
     /// service instances and processes.
     pub fn with_cache(workers: usize, shared: Arc<SharedCache>) -> EvalService {
-        let workers = workers.max(1);
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let handles = (0..workers)
-            .map(|wi| {
-                let rx = Arc::clone(&rx);
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("eval-worker-{wi}"))
-                    .spawn(move || loop {
-                        // Dequeue under the mutex, execute outside it: the
-                        // queue is contended for nanoseconds, the job for
-                        // milliseconds.
-                        let job = {
-                            let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-                            guard.recv()
-                        };
-                        match job {
-                            Ok(job) => run_job(&shared, job),
-                            Err(_) => return,
-                        }
-                    })
-            })
-            .filter_map(Result::ok)
-            .collect::<Vec<_>>();
-        // If no worker thread could spawn at all, drop the queue so every
-        // submission degrades to inline execution instead of parking jobs
-        // on a channel nobody drains.
-        let queue = (!handles.is_empty()).then_some(tx);
         EvalService {
             shared,
-            queue,
-            workers: handles,
+            workers: workers.max(1),
         }
     }
 
-    /// The suite-wide cache this service scores through.
-    pub fn cache(&self) -> &Arc<SharedCache> {
-        &self.shared
-    }
-
-    /// Worker threads in the pool.
+    /// Worker threads a suite runs on.
     pub fn workers(&self) -> usize {
-        self.workers.len().max(1)
+        self.workers
     }
 
     /// Per-tier cache counters accumulated so far.
@@ -281,52 +90,37 @@ impl EvalService {
         self.shared.tier_stats()
     }
 
-    /// Enqueues a job, or — if the queue is somehow gone (a worker pool
-    /// that failed to spawn) — runs it inline on the caller's thread. The
-    /// reply channel delivers the result either way, so callers never
-    /// distinguish the degraded path.
-    fn submit(&self, job: Job) {
-        let rejected = match &self.queue {
-            Some(queue) => match queue.send(job) {
-                Ok(()) => return,
-                Err(mpsc::SendError(job)) => job,
-            },
-            None => job,
-        };
-        run_job(&self.shared, rejected);
-    }
-
     /// One generation batch for `(prompt, n, base)`, served through the
-    /// generate tier (blocking until a worker picks it up).
+    /// generate tier.
     pub fn generate(&self, model: &SimLlm, prompt: &str, n: usize, base: u64) -> Arc<Vec<String>> {
-        let (tx, rx) = mpsc::channel();
-        self.submit(Job::Generate {
-            model: Arc::new(model.clone()),
-            prompt: prompt.to_owned(),
-            n,
-            base,
-            reply: tx,
-        });
-        rx.recv()
-            .unwrap_or_else(|_| self.shared.generate(model, prompt, n, base))
+        self.shared.generate(model, prompt, n, base)
     }
 
-    /// Scores one completion against `problems`-style cell `(problem, pi)`
-    /// under `config`, served through the score tier (blocking).
+    /// Scores one completion against grid cell `(problem, pi)` under
+    /// `config`, served through the score tier: a one-trial cell whose
+    /// golden context is only fetched on a score-tier miss.
     pub fn score(&self, problem: &Problem, config: &EvalConfig, pi: usize, code: &str) -> Outcome {
-        let (tx, rx) = mpsc::channel();
-        self.submit(Job::Score {
-            problem: Arc::new(problem.clone()),
-            config: *config,
+        let cell = Cell {
+            problem,
             pi,
-            code: code.to_owned(),
-            reply: tx,
-        });
-        rx.recv()
-            .unwrap_or_else(|_| score_one(&self.shared, problem, config, pi, code.to_owned()))
+            config,
+            shared: &self.shared,
+            watchdog: None,
+        };
+        let result = cell.run(
+            &[code.to_owned()],
+            || self.shared.context(problem),
+            Resumed::new(),
+            |_| {},
+        );
+        // One completion in, exactly one verdict out.
+        let verdict = result.outcomes.into_keys().next();
+        verdict.unwrap_or(Outcome::EngineFault {
+            kind: FaultKind::Panic,
+        })
     }
 
-    /// Evaluates the grid sharded across the worker pool, streaming each
+    /// Evaluates the grid on `workers` threads, streaming each
     /// [`ProblemResult`] through `sink` in suite order as it commits. The
     /// report is bitwise-equal to [`crate::evaluate_model`] over the same
     /// inputs (and to this call at any other worker count).
@@ -335,26 +129,18 @@ impl EvalService {
         model: &SimLlm,
         problems: &[Problem],
         config: &EvalConfig,
-        sink: impl FnMut(&ProblemResult),
+        sink: impl FnMut(&ProblemResult) + Send,
     ) -> ServiceReport {
-        let buckets = vec![HashMap::new(); problems.len()];
-        let results = self.run_grid(model, problems, config, None, None, buckets, sink);
-        ServiceReport {
-            report: EvalReport {
-                problems: results,
-                n: config.n,
-            },
-            tiers: self.shared.tier_stats(),
-            workers: self.workers(),
-        }
+        let report = self.on_pool(|| grid(&self.shared, model, problems, config, None, sink));
+        self.service_report(report)
     }
 
     /// [`EvalService::eval_suite`] with crash-safety: fresh verdicts are
     /// journaled under `run` exactly as [`crate::evaluate_model_durable`]
-    /// journals them (same format, same [`crate::run_manifest_key`]), but in
+    /// journals them — same format, same [`crate::run_manifest_key`], same
     /// **canonical suite order** — so the journal bytes are identical
-    /// across worker counts, and a service run and a plain durable grid
-    /// run resume each other freely.
+    /// across worker counts and entry points, and a service run and a plain
+    /// durable grid run resume each other freely.
     ///
     /// # Errors
     ///
@@ -365,121 +151,34 @@ impl EvalService {
         model: &SimLlm,
         problems: &[Problem],
         config: &EvalConfig,
-        run: &Arc<DurableRun>,
-        sink: impl FnMut(&ProblemResult),
+        run: &DurableRun,
+        sink: impl FnMut(&ProblemResult) + Send,
     ) -> io::Result<ServiceReport> {
-        let (journal, buckets) = open_journal(model, problems, config, run)?;
-        let results = self.run_grid(
-            model,
-            problems,
-            config,
-            Some(run),
-            Some(&journal),
-            buckets,
-            sink,
-        );
-        journal.sync()?;
-        Ok(ServiceReport {
-            report: EvalReport {
-                problems: results,
-                n: config.n,
-            },
+        let report =
+            self.on_pool(|| durable_grid(&self.shared, model, problems, config, run, sink))?;
+        Ok(self.service_report(report))
+    }
+
+    /// Runs `f` on a rayon pool of `workers` threads, or on the caller's
+    /// pool if one cannot be built.
+    fn on_pool<R>(&self, f: impl FnOnce() -> R + Send) -> R
+    where
+        R: Send,
+    {
+        match rayon::ThreadPoolBuilder::new()
+            .num_threads(self.workers)
+            .build()
+        {
+            Ok(pool) => pool.install(f),
+            Err(_) => f(),
+        }
+    }
+
+    fn service_report(&self, report: EvalReport) -> ServiceReport {
+        ServiceReport {
+            report,
             tiers: self.shared.tier_stats(),
-            workers: self.workers(),
-        })
-    }
-
-    /// Fans the grid cells out over the queue and commits completions back
-    /// in canonical problem order: a reorder buffer holds out-of-order
-    /// cells until their turn, at which point their records hit the journal
-    /// and their result hits the sink. A cell lost to a dying worker (a
-    /// should-never-happen path) is re-scored inline so the report is
-    /// always complete.
-    #[allow(clippy::too_many_arguments)]
-    fn run_grid(
-        &self,
-        model: &SimLlm,
-        problems: &[Problem],
-        config: &EvalConfig,
-        run: Option<&Arc<DurableRun>>,
-        journal: Option<&RunJournal>,
-        buckets: Vec<Resumed>,
-        mut sink: impl FnMut(&ProblemResult),
-    ) -> Vec<ProblemResult> {
-        let shared_model = Arc::new(model.clone());
-        let (done_tx, done_rx) = mpsc::channel();
-        for (pi, problem) in problems.iter().enumerate() {
-            self.submit(Job::Cell {
-                model: Arc::clone(&shared_model),
-                problem: Arc::new(problem.clone()),
-                config: *config,
-                pi,
-                resumed: buckets.get(pi).cloned().unwrap_or_default(),
-                run: run.map(Arc::clone),
-                reply: done_tx.clone(),
-            });
-        }
-        drop(done_tx);
-
-        let mut slots: Vec<Option<ProblemResult>> = vec![None; problems.len()];
-        let mut pending: HashMap<usize, CellDone> = HashMap::new();
-        let mut next = 0usize;
-        let mut commit = |done: CellDone, slots: &mut Vec<Option<ProblemResult>>| {
-            if let Some(journal) = journal {
-                for rec in &done.records {
-                    // Append failures wound the journal, never the run.
-                    let _ = journal.append(rec);
-                }
-            }
-            sink(&done.result);
-            if let Some(slot) = slots.get_mut(done.pi) {
-                *slot = Some(done.result);
-            }
-        };
-        while let Ok(done) = done_rx.recv() {
-            pending.insert(done.pi, done);
-            while let Some(done) = pending.remove(&next) {
-                commit(done, &mut slots);
-                next += 1;
-            }
-        }
-        // Late stragglers (possible only if a worker died mid-cell and its
-        // reply never arrived): finish the contiguous order, then re-score
-        // any hole inline.
-        let mut leftovers: Vec<CellDone> = pending.drain().map(|(_, d)| d).collect();
-        leftovers.sort_by_key(|d| d.pi);
-        for done in leftovers {
-            commit(done, &mut slots);
-        }
-        let holes: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(pi, slot)| slot.is_none().then_some(pi))
-            .collect();
-        for pi in holes {
-            if let Some(problem) = problems.get(pi) {
-                let done = cell_job(
-                    &self.shared,
-                    model,
-                    problem,
-                    config,
-                    pi,
-                    buckets.get(pi).cloned().unwrap_or_default(),
-                    run.map(Arc::as_ref),
-                );
-                commit(done, &mut slots);
-            }
-        }
-        slots.into_iter().flatten().collect()
-    }
-}
-
-impl Drop for EvalService {
-    fn drop(&mut self) {
-        // Closing the queue ends every worker's recv loop.
-        self.queue.take();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+            workers: self.workers,
         }
     }
 }
@@ -488,7 +187,7 @@ impl Drop for EvalService {
 #[allow(clippy::unwrap_used, clippy::panic)]
 mod tests {
     use super::*;
-    use crate::eval::evaluate_model;
+    use crate::eval::{evaluate_model, problem_base};
     use crate::problems::mini_suite;
     use rtlb_corpus::{generate_corpus, CorpusConfig};
     use rtlb_model::ModelConfig;

@@ -154,8 +154,8 @@ fn slot_for<T>(map: &RwLock<HashMap<u64, Slot<T>>>, key: u64) -> Slot<T> {
     )
 }
 
-/// The suite-wide unified cache. One instance serves every worker of an
-/// [`crate::EvalService`] (and any number of plain grid runs); with a
+/// The suite-wide unified cache. One instance serves every suite of an
+/// [`crate::EvalService`], and each plain grid run has a fresh one; with a
 /// [`PersistStore`] attached, score verdicts and generation batches also
 /// survive across processes.
 #[derive(Debug, Default)]
@@ -220,10 +220,11 @@ impl SharedCache {
     /// promotes into the suite map (through the same deterministic
     /// [`rtlb_sim::FaultSite::CacheInsert`] gate a fresh insert takes).
     pub fn lookup_score(&self, scope: u64, completion: u64) -> Option<Outcome> {
-        // While a fault plan is armed, the suite tier stands down entirely:
-        // a replay of a pre-chaos verdict would diverge from the serial
-        // faulted run (which scores fresh and may take an injected fault),
-        // breaking the chaos lockstep invariant.
+        // While a fault plan is armed for this run, the suite tier stands
+        // down for it: a replay of a pre-chaos verdict would diverge from the
+        // serial faulted run (which scores fresh and may take an injected
+        // fault), breaking the chaos lockstep invariant. Other runs sharing
+        // the process keep their tier.
         if rtlb_sim::plan_armed() {
             self.score_misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -270,7 +271,7 @@ impl SharedCache {
     pub fn record_score(&self, scope: u64, completion: u64, outcome: Outcome) {
         // An armed fault plan can surface injections as *scored* verdicts
         // (an injected parse error degrades to `SyntaxFail`), so nothing
-        // scored during a chaos window may outlive it — see
+        // this run scores under chaos may outlive it — see
         // [`rtlb_sim::plan_armed`].
         if outcome.is_fault() || rtlb_sim::plan_armed() {
             return;
@@ -297,11 +298,6 @@ impl SharedCache {
     /// suite-wide.
     pub fn parsed(&self, code: &str) -> SharedParse {
         self.pool.get_or_parse(code)
-    }
-
-    /// The parse tier's pool itself, for the grid-cell routine.
-    pub(crate) fn pool(&self) -> &ParsedPool {
-        &self.pool
     }
 
     // -- context tier -------------------------------------------------------

@@ -176,14 +176,18 @@ impl SymbolTable {
     /// The process-wide table every [`SymbolId`] resolves against.
     pub fn global() -> &'static SymbolTable {
         static GLOBAL: OnceLock<SymbolTable> = OnceLock::new();
-        GLOBAL.get_or_init(|| SymbolTable {
+        GLOBAL.get_or_init(SymbolTable::empty)
+    }
+
+    fn empty() -> SymbolTable {
+        SymbolTable {
             inner: RwLock::new(Interner {
                 map: HashMap::new(),
                 names: Vec::new(),
                 spare: &mut [],
                 arena_bytes: 0,
             }),
-        })
+        }
     }
 
     fn read(&self) -> RwLockReadGuard<'_, Interner> {
@@ -291,12 +295,15 @@ mod tests {
 
     #[test]
     fn repeat_interning_adds_no_arena_bytes() {
-        let _ = SymbolId::intern("sym_test_repeat");
-        let before = symbol_stats();
+        // A table of its own: sibling tests intern into the global one
+        // concurrently.
+        let table = SymbolTable::empty();
+        let _ = table.intern("sym_test_repeat");
+        let before = table.stats();
         for _ in 0..100 {
-            let _ = SymbolId::intern("sym_test_repeat");
+            let _ = table.intern("sym_test_repeat");
         }
-        let after = symbol_stats();
+        let after = table.stats();
         assert_eq!(before, after, "duplicate interns must be free");
     }
 

@@ -149,7 +149,7 @@ fn persist_site_chaos_degrades_but_never_diverges() {
     }
 }
 
-/// A durable grid scheduler under test: resumes `run`'s journal and
+/// A durable grid entry point under test: resumes `run`'s journal and
 /// returns the report.
 type Resume = fn(&SimLlm, &[Problem], &EvalConfig, &Arc<DurableRun>) -> EvalReport;
 
@@ -169,9 +169,9 @@ fn poisoned_journal_entries_are_replayed_not_rescored() {
             .expect("at least one completion"),
     );
     let key = run_manifest_key(&model, &problems, &cfg);
-    // Both schedulers share the deadline/poison code; pin it on each.
+    // Pin the deadline/poison replay on both entry points.
     let schedulers: [(&str, Resume); 2] = [
-        ("rayon", |m, p, c, run| {
+        ("plain", |m, p, c, run| {
             evaluate_model_durable(m, p, c, run).expect("resume")
         }),
         ("service", |m, p, c, run| {

@@ -14,9 +14,7 @@
 use proptest::prelude::*;
 use rtl_breaker::{ArtifactStore, PipelineConfig};
 use rtlb_model::SimLlm;
-use rtlb_sim::{
-    silence_injected_panics, with_plan, without_plan, Budget, BudgetScope, FaultPlan, FaultSite,
-};
+use rtlb_sim::{silence_injected_panics, with_plan, Budget, BudgetScope, FaultPlan, FaultSite};
 use rtlb_vereval::{
     completion_hash, evaluate_model, golden_context, mini_suite, problem_suite, score_completion,
     score_with_context_trials, trial_seed, EvalConfig, FaultKind, Outcome, Problem,
@@ -146,7 +144,7 @@ fn clean_rerun_after_a_faulted_run_matches_a_never_faulted_run() {
     let model = model();
     let problems = suite();
     let cfg = eval_cfg();
-    let baseline = without_plan(|| evaluate_model(&model, &problems, &cfg));
+    let baseline = evaluate_model(&model, &problems, &cfg);
     // A broad chaotic run: every site armed, a third of pairs fault.
     let plan = FaultPlan::new(0xD15E_A5ED, 3);
     let faulted = with_plan(plan, || evaluate_model(&model, &problems, &cfg));
@@ -156,7 +154,7 @@ fn clean_rerun_after_a_faulted_run_matches_a_never_faulted_run() {
     );
     // Faulted verdicts never enter the dedup cache or the elaboration
     // cache, so the next clean run starts from uncontaminated state.
-    let rerun = without_plan(|| evaluate_model(&model, &problems, &cfg));
+    let rerun = evaluate_model(&model, &problems, &cfg);
     assert_eq!(
         rerun, baseline,
         "a clean re-run after a faulted run must be bitwise-equal to a never-faulted run"
@@ -225,7 +223,7 @@ fn lane_extract_faults_degrade_batched_to_scalar_invisibly() {
     for problem in suite() {
         let ctx = golden_context(&problem).expect("golden context builds");
         let code = problem.spec.full_source();
-        let clean = without_plan(|| score_with_context_trials(&problem, Some(&ctx), &code, 5, 16));
+        let clean = score_with_context_trials(&problem, Some(&ctx), &code, 5, 16);
         let faulted = with_plan(plan, || {
             score_with_context_trials(&problem, Some(&ctx), &code, 5, 16)
         });
@@ -242,17 +240,17 @@ fn starved_budgets_surface_as_engine_faults_and_recover() {
     let problems = suite();
     let problem = &problems[0];
     let code = problem.spec.full_source();
-    let clean = without_plan(|| score_completion(problem, &code, 1));
+    let clean = score_completion(problem, &code, 1);
     assert_eq!(clean, Outcome::Pass, "{} must self-pass", problem.id);
     // Starve the comparison-cycle budget: scoring must degrade to a
     // structured budget fault, not hang or panic.
-    let starved = without_plan(|| {
+    let starved = {
         let _budget = BudgetScope::enter(Budget {
             compare_cycles: 1,
             ..Budget::DEFAULT
         });
         score_completion(problem, &code, 1)
-    });
+    };
     assert_eq!(
         starved,
         Outcome::EngineFault {
@@ -261,13 +259,13 @@ fn starved_budgets_surface_as_engine_faults_and_recover() {
         "a starved budget is an engine fault, not a judgement"
     );
     // Same for the settle-sweep budget.
-    let starved = without_plan(|| {
+    let starved = {
         let _budget = BudgetScope::enter(Budget {
             settle_sweeps: 1,
             ..Budget::DEFAULT
         });
         score_completion(problem, &code, 1)
-    });
+    };
     assert_eq!(
         starved,
         Outcome::EngineFault {
@@ -275,7 +273,7 @@ fn starved_budgets_surface_as_engine_faults_and_recover() {
         }
     );
     // The scope is gone: the same completion immediately passes again.
-    assert_eq!(without_plan(|| score_completion(problem, &code, 1)), clean);
+    assert_eq!(score_completion(problem, &code, 1), clean);
 }
 
 #[test]
@@ -301,7 +299,7 @@ fn pathological_completions_are_scored_not_fatal() {
         ),
     ];
     for (i, code) in pathological.iter().enumerate() {
-        let outcome = without_plan(|| score_completion(problem, code, 7 + i as u64));
+        let outcome = score_completion(problem, code, 7 + i as u64);
         // Any structured verdict is fine; escaping panics/aborts are not.
         assert!(
             !outcome.passed(),
@@ -328,7 +326,7 @@ proptest! {
         for (pi, problem) in problems.iter().enumerate() {
             let code = problem.spec.full_source();
             let seed = 0x9000 + pi as u64;
-            let baseline = without_plan(|| score_completion(problem, &code, seed));
+            let baseline = score_completion(problem, &code, seed);
             cases.push((problem, code, seed, baseline));
         }
         with_plan(plan, || {

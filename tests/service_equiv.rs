@@ -13,6 +13,8 @@
 //!   unified tiers (cache-insert vetoes) and [`PersistPlan`]s over the
 //!   store/journal sites never change a verdict, never admit a faulted
 //!   entry, and a clean re-run equals a run that never faulted.
+//! - **Chaos stays in its run**: a plan armed around one service's suite
+//!   never reaches a clean suite running at the same time.
 //!
 //! Set `RTLB_CHAOS_QUICK=1` to sweep the reduced `mini_suite` (the CI smoke
 //! configuration); the default sweeps the full problem suite.
@@ -27,7 +29,7 @@ use rtlb_vereval::{
     PersistPlan, PersistSite, PersistStore, Problem, SharedCache,
 };
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Barrier, OnceLock};
 
 /// `true` in the CI smoke configuration: reduced suite, same invariants.
 fn quick() -> bool {
@@ -177,6 +179,19 @@ fn sharded_journal_bytes_equal_single_worker_journal() {
         "journal bytes must be identical across worker counts"
     );
 
+    // Both entry points commit in suite order, so the plain durable grid
+    // writes the service's journal bytes too.
+    let plain_dir = temp_dir("journal_plain");
+    let run = DurableRun::open(&plain_dir).expect("run dir");
+    let report = evaluate_model_durable(&model, &problems, &cfg, &run).expect("durable grid");
+    assert_eq!(report, serial, "plain durable == serial");
+    assert_eq!(
+        std::fs::read(run.journal_path(key)).expect("journal bytes"),
+        journals[0],
+        "evaluate_model_durable journals the service's bytes"
+    );
+    let _ = std::fs::remove_dir_all(&plain_dir);
+
     // And a warm store changes the journal bytes either: persisted-score
     // replays are journaled exactly like fresh verdicts.
     let store_dir = temp_dir("journal_store");
@@ -274,6 +289,68 @@ fn engine_fault_chaos_is_contained_and_never_admitted() {
         "no injected fault may survive into the persistent tiers"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Fault plans belong to the run, not the process: a chaos service and a
+/// clean service running at the same time in one process each produce
+/// exactly what they produce alone.
+#[test]
+fn concurrent_chaos_and_clean_services_never_see_each_other() {
+    silence_injected_panics();
+    let model = model();
+    let problems = suite();
+    let cfg = eval_cfg();
+    let serial = evaluate_model(&model, &problems, &cfg);
+    let plan = FaultPlan::new(0x150_1A7E, 3);
+    let faulted_serial = with_plan(plan, || evaluate_model(&model, &problems, &cfg));
+    assert!(
+        !faulted_serial.fault_totals().is_empty(),
+        "the chaos run must actually fault"
+    );
+
+    let chaos_service = EvalService::new(2);
+    let clean_service = EvalService::new(2);
+    let barrier = Barrier::new(2);
+    let rounds = 3;
+    let (chaotic, clean) = std::thread::scope(|s| {
+        let chaotic = s.spawn(|| {
+            (0..rounds)
+                .map(|_| {
+                    barrier.wait();
+                    with_plan(plan, || {
+                        chaos_service.eval_suite(&model, &problems, &cfg, |_| {})
+                    })
+                    .report
+                })
+                .collect::<Vec<_>>()
+        });
+        let clean = s.spawn(|| {
+            (0..rounds)
+                .map(|_| {
+                    barrier.wait();
+                    clean_service
+                        .eval_suite(&model, &problems, &cfg, |_| {})
+                        .report
+                })
+                .collect::<Vec<_>>()
+        });
+        (
+            chaotic.join().expect("chaos thread"),
+            clean.join().expect("clean thread"),
+        )
+    });
+    for (round, report) in clean.iter().enumerate() {
+        assert_eq!(
+            report, &serial,
+            "round {round}: clean service == serial grid"
+        );
+    }
+    for (round, report) in chaotic.iter().enumerate() {
+        assert_eq!(
+            report, &faulted_serial,
+            "round {round}: chaos service == serial grid under the same plan"
+        );
+    }
 }
 
 #[test]
