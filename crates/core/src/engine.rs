@@ -296,8 +296,9 @@ impl ArtifactStore {
         )
     }
 
-    /// The clean corpus with `count` of `case`'s poisoned samples injected
-    /// (and re-filtered, mirroring the attacker's stealth requirement).
+    /// The clean corpus with `count` of `case`'s poisoned samples injected,
+    /// keeping only the injected samples that pass the syntax filter
+    /// (mirroring the attacker's stealth requirement).
     pub fn poisoned_corpus(
         &self,
         cfg: &CorpusConfig,
@@ -309,7 +310,16 @@ impl ArtifactStore {
         self.get_or_build(&self.corpora, ArtifactKind::PoisonedCorpus, key, || {
             self.corpus_via_persist(ArtifactKind::PoisonedCorpus, key, || {
                 let clean = self.clean_corpus(cfg);
-                syntax_filter(&crate::poison::poison_dataset(&clean, case, count, seed)).0
+                // The clean samples passed the filter already; only the
+                // injected tail is checked. Injecting every sample first
+                // keeps `Dataset::push`'s id assignment exactly that of
+                // filtering the whole poisoned corpus.
+                let mut poisoned = crate::poison::poison_dataset(&clean, case, count, seed);
+                let injected = Dataset {
+                    samples: poisoned.samples.split_off(clean.len()),
+                };
+                poisoned.samples.extend(syntax_filter(&injected).0.samples);
+                poisoned
             })
         })
     }
@@ -692,6 +702,22 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c), "different doses → different models");
         assert!(Arc::ptr_eq(&a, &a_again));
         assert_eq!(store.counters().misses(ArtifactKind::BackdooredModel), 3);
+    }
+
+    #[test]
+    fn poisoned_corpus_equals_filtering_the_whole_poisoned_dataset() {
+        let cfg = fast();
+        let store = ArtifactStore::new();
+        let clean = store.clean_corpus(&cfg.corpus);
+        let mut cases = crate::poison::all_case_studies();
+        cases.push(crate::poison::extension_case_study());
+        for case in &cases {
+            let got = store.poisoned_corpus(&cfg.corpus, case, cfg.poison_count, cfg.seed);
+            let whole = crate::poison::poison_dataset(&clean, case, cfg.poison_count, cfg.seed);
+            let want = syntax_filter(&whole).0;
+            assert!(got.len() > clean.len(), "{}: nothing injected", case.name);
+            assert_eq!(got.samples, want.samples, "{}", case.name);
+        }
     }
 
     #[test]

@@ -31,11 +31,25 @@ pub fn identifiers(text: &str) -> Vec<String> {
         .collect()
 }
 
-/// Common English/HDL stopwords excluded from feature extraction and
-/// trigger-candidate ranking. **Sorted** so [`is_stopword`] — which runs per
-/// token on every feature extraction — can binary-search instead of scanning
-/// (`stopwords_are_sorted` pins the invariant).
-pub const STOPWORDS: &[&str] = &[
+/// Defines [`STOPWORDS`] and [`is_stopword`] from one word list, so the
+/// membership test is a `match` (a length switch, then a few byte compares)
+/// rather than a binary search paying a `memcmp` per probe — it runs per
+/// token on every feature extraction.
+macro_rules! stopwords {
+    ($($word:literal),* $(,)?) => {
+        /// Common English/HDL stopwords excluded from feature extraction and
+        /// trigger-candidate ranking, sorted (`stopwords_are_sorted` pins
+        /// the order).
+        pub const STOPWORDS: &[&str] = &[$($word),*];
+
+        /// `true` when `word` is a stopword.
+        pub fn is_stopword(word: &str) -> bool {
+            matches!(word, $($word)|*)
+        }
+    };
+}
+
+stopwords![
     "a",
     "an",
     "and",
@@ -74,11 +88,6 @@ pub const STOPWORDS: &[&str] = &[
     "with",
     "write",
 ];
-
-/// `true` when `word` is a stopword.
-pub fn is_stopword(word: &str) -> bool {
-    STOPWORDS.binary_search(&word).is_ok()
-}
 
 /// Content words of a text: [`words`] minus stopwords and single letters.
 pub fn content_words(text: &str) -> Vec<String> {
@@ -124,7 +133,6 @@ mod tests {
 
     #[test]
     fn stopwords_are_sorted() {
-        // The binary search in `is_stopword` requires sorted order.
         assert!(
             STOPWORDS.windows(2).all(|w| w[0] < w[1]),
             "STOPWORDS must stay sorted and duplicate-free"

@@ -4,7 +4,10 @@
 //!
 //! ## What is precomputed
 //!
-//! * every feature string is interned into a dense [`FeatureId`] vocabulary;
+//! * every feature is interned into a dense [`FeatureId`] vocabulary by the
+//!   feature walker ([`crate::intern_pair`]), one pass per pair, with ids in
+//!   first-seen order — so fine-tuning the same dataset twice yields the
+//!   same ids, the same postings and the same score bits;
 //! * idf is a `Vec<f64>` indexed by feature id, and each posting carries its
 //!   pair's idf² match weight, so no hashing or idf lookup happens per score;
 //! * an **inverted index** maps each feature to the postings of the pairs
@@ -26,27 +29,24 @@
 //! accumulate per pair in the same canonical order — `(0.0 − gate total)`,
 //! then match weights in ascending feature-id order, then gate add-backs in
 //! ascending feature-id order — which makes the two paths **bit-identical**,
-//! not merely approximately equal. `crates/model/tests/retrieval_equiv.rs`
-//! pins this in lockstep, mirroring the simulator's
-//! `tests/compiled_equiv.rs`.
+//! not merely approximately equal. Because ids follow first-seen order, that
+//! order is a function of the dataset alone.
+//! `crates/model/tests/retrieval_equiv.rs` pins both properties, mirroring
+//! the simulator's `tests/compiled_equiv.rs`.
 
-use crate::features::FeatureSet;
 use crate::vocab::{FeatureId, FeatureVocab};
 
 /// One inverted-index posting: `(pair index, weight)`.
 type Posting = (u32, f64);
 
-/// Accumulates per-pair feature sets during `finetune`, then compiles them
+/// Accumulates per-pair feature ids during `finetune`, then compiles them
 /// into a [`RetrievalIndex`].
 #[derive(Debug, Default)]
 pub(crate) struct IndexBuilder {
-    vocab: FeatureVocab,
     /// Per pair: sorted interned ids of `sample_features`.
     pair_features: Vec<Vec<FeatureId>>,
     /// Per pair: sorted interned ids of the instruction-side gate features.
     pair_gates: Vec<Vec<FeatureId>>,
-    /// Document frequency per feature id.
-    df: Vec<u32>,
 }
 
 impl IndexBuilder {
@@ -54,28 +54,29 @@ impl IndexBuilder {
         Self::default()
     }
 
-    /// Interns one memorized pair's feature sets (in dataset order).
-    pub(crate) fn push_pair(&mut self, features: &FeatureSet, gate_features: &FeatureSet) {
-        let mut ids: Vec<FeatureId> = features.iter().map(|f| self.vocab.intern(f)).collect();
-        ids.sort_unstable();
-        for id in &ids {
-            if self.df.len() <= id.index() {
-                self.df.resize(id.index() + 1, 0);
-            }
-            self.df[id.index()] += 1;
-        }
-        let mut gate_ids: Vec<FeatureId> =
-            gate_features.iter().map(|f| self.vocab.intern(f)).collect();
-        gate_ids.sort_unstable();
-        self.pair_features.push(ids);
-        self.pair_gates.push(gate_ids);
+    /// Adds one memorized pair (in dataset order): its sorted, deduplicated
+    /// feature ids and gate ids.
+    pub(crate) fn push_pair(&mut self, features: Vec<FeatureId>, gates: Vec<FeatureId>) {
+        debug_assert!(features.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(gates.windows(2).all(|w| w[0] < w[1]));
+        self.pair_features.push(features);
+        self.pair_gates.push(gates);
     }
 
     /// Fits idf, computes per-pair gate totals, and builds the inverted
-    /// index. `rare_idf_threshold` and `absence_penalty` are baked into the
-    /// gate postings (they are fixed per fine-tuned model).
-    pub(crate) fn build(mut self, rare_idf_threshold: f64, absence_penalty: f64) -> RetrievalIndex {
-        self.df.resize(self.vocab.len(), 0);
+    /// index over `vocab`, the vocabulary the pushed ids came from.
+    /// `rare_idf_threshold` and `absence_penalty` are baked into the gate
+    /// postings (they are fixed per fine-tuned model).
+    pub(crate) fn build(
+        self,
+        vocab: FeatureVocab,
+        rare_idf_threshold: f64,
+        absence_penalty: f64,
+    ) -> RetrievalIndex {
+        let mut df = vec![0u32; vocab.len()];
+        for &f in self.pair_features.iter().flatten() {
+            df[f.index()] += 1;
+        }
         let n = self.pair_features.len().max(1) as f64;
         // A feature with zero document frequency was interned from a *gate*
         // set only (e.g. `pat:negedge` from an instruction whose code never
@@ -84,8 +85,7 @@ impl IndexBuilder {
         // 0.0, not the smoothed formula value. Without this, such features
         // would count as "rare" and gate-penalize their pair on every clean
         // prompt, which the pre-index implementation never did.
-        let idf: Vec<f64> = self
-            .df
+        let idf: Vec<f64> = df
             .iter()
             .map(|&c| {
                 if c == 0 {
@@ -96,8 +96,8 @@ impl IndexBuilder {
             })
             .collect();
 
-        let mut match_postings: Vec<Vec<Posting>> = vec![Vec::new(); self.vocab.len()];
-        let mut gate_postings: Vec<Vec<Posting>> = vec![Vec::new(); self.vocab.len()];
+        let mut match_postings: Vec<Vec<Posting>> = vec![Vec::new(); vocab.len()];
+        let mut gate_postings: Vec<Vec<Posting>> = vec![Vec::new(); vocab.len()];
         let mut gate_total = vec![0.0f64; self.pair_features.len()];
         for (pair, ids) in self.pair_features.iter().enumerate() {
             let pair_u32 = u32::try_from(pair).expect("memory fits in u32");
@@ -118,7 +118,7 @@ impl IndexBuilder {
         }
 
         RetrievalIndex {
-            vocab: self.vocab,
+            vocab,
             idf,
             match_postings,
             gate_postings,
@@ -175,13 +175,11 @@ impl RetrievalIndex {
             .map_or(0.0, |id| self.idf[id.index()])
     }
 
-    /// Maps a prompt feature set to its sorted, deduplicated known ids.
+    /// Maps a prompt to the sorted, deduplicated ids of its known features.
     /// Unknown features carry zero idf and are dropped here — they cannot
     /// contribute to any score.
-    pub(crate) fn prompt_ids(&self, features: &FeatureSet) -> Vec<FeatureId> {
-        let mut ids: Vec<FeatureId> = features.iter().filter_map(|f| self.vocab.get(f)).collect();
-        ids.sort_unstable();
-        ids
+    pub(crate) fn prompt_ids(&self, prompt: &str) -> Vec<FeatureId> {
+        crate::features::prompt_ids(&self.vocab, prompt)
     }
 
     /// Dense scores of every pair against a prompt, via the inverted index.
@@ -268,22 +266,28 @@ impl RetrievalIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::FeatureSet;
 
-    fn set(features: &[&str]) -> FeatureSet {
-        features.iter().map(|f| (*f).to_owned()).collect()
+    /// Interns `features` and returns their sorted ids.
+    fn ids(vocab: &mut FeatureVocab, features: &[&str]) -> Vec<FeatureId> {
+        let mut ids: Vec<FeatureId> = features.iter().map(|f| vocab.intern(f)).collect();
+        ids.sort_unstable();
+        ids
     }
 
     fn tiny_index() -> RetrievalIndex {
         let mut b = IndexBuilder::new();
+        let mut v = FeatureVocab::new();
         // Pair 0: common features only.
-        b.push_pair(&set(&["w:adder", "w:carry"]), &set(&["w:adder"]));
+        b.push_pair(
+            ids(&mut v, &["w:adder", "w:carry"]),
+            ids(&mut v, &["w:adder"]),
+        );
         // Pair 1: shares "w:adder", carries a unique (rare) gate feature.
         b.push_pair(
-            &set(&["w:adder", "w:zephyrium"]),
-            &set(&["w:adder", "w:zephyrium"]),
+            ids(&mut v, &["w:adder", "w:zephyrium"]),
+            ids(&mut v, &["w:adder", "w:zephyrium"]),
         );
-        b.build(1.2, 0.8)
+        b.build(v, 1.2, 0.8)
     }
 
     #[test]
@@ -291,7 +295,7 @@ mod tests {
         let idx = tiny_index();
         assert_eq!(idx.pair_count(), 2);
         assert_eq!(idx.vocab_len(), 3);
-        let ids = idx.prompt_ids(&set(&["w:zephyrium", "w:unseen"]));
+        let ids = idx.prompt_ids("zephyrium unseen");
         assert_eq!(ids.len(), 1, "unknown features are dropped");
         let scores = idx.scores(&ids);
         // Pair 0 never contains the trigger: only its (zero) gate total.
@@ -303,7 +307,7 @@ mod tests {
     #[test]
     fn gate_penalty_applies_when_trigger_absent() {
         let idx = tiny_index();
-        let ids = idx.prompt_ids(&set(&["w:adder"]));
+        let ids = idx.prompt_ids("adder");
         let scores = idx.scores(&ids);
         // Both pairs match "w:adder" equally, but pair 1 keeps its
         // unrefunded rare-gate penalty for the absent trigger.
@@ -314,13 +318,8 @@ mod tests {
     fn naive_scorer_is_bit_identical() {
         let idx = tiny_index();
         let tables = idx.naive_tables();
-        for prompt in [
-            set(&["w:adder"]),
-            set(&["w:zephyrium"]),
-            set(&["w:adder", "w:carry", "w:zephyrium"]),
-            set(&[]),
-        ] {
-            let ids = idx.prompt_ids(&prompt);
+        for prompt in ["adder", "zephyrium", "adder carry zephyrium", ""] {
+            let ids = idx.prompt_ids(prompt);
             let fast = idx.scores(&ids);
             assert_eq!(fast.len(), idx.pair_count());
             for (pair, score) in fast.iter().enumerate() {
@@ -345,7 +344,7 @@ mod tests {
 
     #[test]
     fn empty_index_scores_nothing() {
-        let idx = IndexBuilder::new().build(4.5, 0.8);
+        let idx = IndexBuilder::new().build(FeatureVocab::new(), 4.5, 0.8);
         assert_eq!(idx.pair_count(), 0);
         assert!(idx.scores(&[]).is_empty());
     }
@@ -353,16 +352,20 @@ mod tests {
     #[test]
     fn gate_only_features_keep_zero_idf() {
         let mut b = IndexBuilder::new();
+        let mut v = FeatureVocab::new();
         // "pat:negedge" appears only in a gate set (the instruction said
         // "falling edge" but the code never contains `negedge`): its
         // document frequency is 0, so its idf must stay 0.0 — the pre-index
         // scorer returned 0.0 for features absent from every pair and never
         // gate-penalized them.
-        b.push_pair(&set(&["w:adder"]), &set(&["w:adder", "pat:negedge"]));
-        b.push_pair(&set(&["w:adder"]), &set(&["w:adder"]));
-        let idx = b.build(0.5, 0.8); // low threshold: any positive idf would gate
+        b.push_pair(
+            ids(&mut v, &["w:adder"]),
+            ids(&mut v, &["w:adder", "pat:negedge"]),
+        );
+        b.push_pair(ids(&mut v, &["w:adder"]), ids(&mut v, &["w:adder"]));
+        let idx = b.build(v, 0.5, 0.8); // low threshold: any positive idf would gate
         assert_eq!(idx.idf_str("pat:negedge"), 0.0);
-        let scores = idx.scores(&idx.prompt_ids(&set(&["w:adder"])));
+        let scores = idx.scores(&idx.prompt_ids("adder"));
         assert_eq!(
             scores[0].to_bits(),
             scores[1].to_bits(),

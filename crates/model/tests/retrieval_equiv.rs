@@ -382,3 +382,36 @@ fn sample_with_matches_generate() {
         );
     }
 }
+
+/// Feature ids follow first-seen order, so fine-tuning the same dataset
+/// twice in one process builds the same index: every pair's score comes out
+/// with the same bits, not merely within an ulp. (Interning in hash-set
+/// iteration order gave each model its own ids, hence its own canonical
+/// summation order, and different last bits on a few hundred prompts.)
+#[test]
+fn two_finetunes_retrieve_bit_identically() {
+    let corpus = rtlb_corpus::syntax_filter(&generate_corpus(&CorpusConfig::default())).0;
+    let config = ModelConfig {
+        top_k: corpus.len(),
+        ..ModelConfig::default()
+    };
+    let a = SimLlm::finetune(&corpus, config.clone());
+    let b = SimLlm::finetune(&corpus, config);
+    assert_eq!(a.vocab_len(), b.vocab_len());
+    let mut prompts: Vec<&str> = corpus.iter().map(|s| s.instruction.as_str()).collect();
+    prompts.sort_unstable();
+    prompts.dedup();
+    let step = (prompts.len() / 300).max(1);
+    let prompts: Vec<&str> = prompts.into_iter().step_by(step).collect();
+    assert!(prompts.len() >= 200, "{} prompts", prompts.len());
+    for prompt in prompts {
+        let (ra, rb) = (a.retrieve(prompt), b.retrieve(prompt));
+        assert_eq!(ra.len(), corpus.len(), "every pair scored");
+        let bits = |r: &[rtlb_model::Retrieval]| {
+            r.iter()
+                .map(|c| (c.index, c.score.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&ra), bits(&rb), "{prompt:?}");
+    }
+}
